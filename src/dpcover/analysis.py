@@ -1,22 +1,27 @@
 """Certification engine: exhaustive colorability, exact weights, parity checks.
 
 Colorings over a sorted n-vertex universe are the integers 0 .. 2^n - 1 (bit i
-colors the i-th vertex).  Each map phi becomes a (mask, pattern) pair so that
-"phi is contained in f" is the single test (f & mask) == pattern; exhaustive
-scans run chunk-by-chunk through numpy.  All weights are exact dyadics.
+colors the i-th vertex).  Every exhaustive verdict reads one kernel: the
+multiplicity of each code, i.e. how many maps it contains.  The kernel works
+on chunks of 2^k codes that share their high n - k bits.  A map whose high
+entries disagree with the chunk is skipped; every other map adds 1 on the
+subcube its low entries fix in the chunk's (2,)*k view.  A map phi costs
+2^(k - |phi's low entries|) per chunk, so a whole pass costs w(F) * 2^n cell
+updates.  Counts use the smallest unsigned dtype that holds len(family), since
+no code lies in more maps than that.  All weights are exact dyadics.
 
 Enumeration thresholds are defaults, overridable per call or via environment
 variables (DPCOVER_ENUM_LIMIT, DPCOVER_PARITY_LIMIT, DPCOVER_AUDIT_LIMIT).
 
-Parallel mode partitions the coloring space into fixed contiguous chunks and
-merges chunk results by index, so reports are identical for any worker count.
+Parallel mode hands the fixed contiguous chunks to worker processes and merges
+their results in chunk order, so reports are identical for any worker count.
 """
 from __future__ import annotations
 
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
@@ -51,39 +56,61 @@ def _ranks(universe: Sequence[VertexId]) -> dict[VertexId, int]:
     return {v: i for i, v in enumerate(universe)}
 
 
-def _mask_patterns(
-    family: Family, universe: Sequence[VertexId]
-) -> tuple[list[int], list[int]]:
-    """(mask, pattern) per map: f contains phi iff (f & mask) == pattern."""
-    rank = _ranks(universe)
-    masks, patterns = [], []
-    for m in family.maps:
-        mask = pattern = 0
-        for v, bit in m.entries:
-            if v not in rank:
-                raise OutOfUniverseError(f"vertex {v} not in universe")
-            mask |= 1 << rank[v]
-            pattern |= bit << rank[v]
-        masks.append(mask)
-        patterns.append(pattern)
-    return masks, patterns
+class _Subcubes:
+    """The family's maps as subcubes of the code space, counted chunk by chunk.
+
+    Chunks hold 2^k codes, 2^k the largest power of two not above chunk_size
+    (at most 2^n); `starts` lists their first codes.  Each map keeps its high
+    entries as a (mask, pattern) pair over bits k.. and its low entries as an
+    index into the chunk's (2,)*k view, whose axis k - 1 - i holds bit i.
+    """
+
+    def __init__(self, family: Family, universe: Sequence[VertexId], chunk_size: int):
+        rank = _ranks(universe)
+        n = len(universe)
+        self.k = k = min(n, max(chunk_size, 1).bit_length() - 1)
+        self.starts = range(0, 1 << n, 1 << k)
+        self.dtype = np.min_scalar_type(len(family))
+        masks, patterns, self.cubes = [], [], []
+        for m in family.maps:
+            mask = pattern = 0
+            cube: list = [slice(None)] * k
+            for v, bit in m.entries:
+                if v not in rank:
+                    raise OutOfUniverseError(f"vertex {v} not in universe")
+                i = rank[v]
+                if i < k:
+                    cube[k - 1 - i] = bit
+                else:
+                    mask |= 1 << (i - k)
+                    pattern |= bit << (i - k)
+            masks.append(mask)
+            patterns.append(pattern)
+            self.cubes.append(tuple(cube))
+        self.masks = np.array(masks, dtype=np.uint64)
+        self.patterns = np.array(patterns, dtype=np.uint64)
+
+    def counts(self, lo: int) -> np.ndarray:
+        """Multiplicity of each code in [lo, lo + 2^k): the one containment kernel."""
+        out = np.zeros(1 << self.k, dtype=self.dtype)
+        view = out.reshape((2,) * self.k)
+        high = np.uint64(lo >> self.k)
+        for j in np.flatnonzero((high & self.masks) == self.patterns).tolist():
+            view[self.cubes[j]] += 1
+        return out
 
 
-def _scan_chunk(args: tuple) -> tuple[int | None, int]:
-    """Scan codes [lo, hi): return (first avoiding code or None, avoider count)."""
-    lo, hi, masks, patterns = args
-    codes = np.arange(lo, hi, dtype=np.uint64)
-    covered = np.zeros(hi - lo, dtype=bool)
-    for mask, pattern in zip(masks, patterns):
-        covered |= (codes & np.uint64(mask)) == np.uint64(pattern)
-    uncovered = ~covered
-    count = int(uncovered.sum())
-    first = lo + int(np.argmax(uncovered)) if count else None
-    return first, count
+def _chunk_avoiders(cubes: _Subcubes, lo: int) -> tuple[int | None, int]:
+    """(first avoiding code or None, avoider count) in the chunk starting at lo."""
+    free = np.flatnonzero(cubes.counts(lo) == 0)
+    return (lo + int(free[0]) if free.size else None), int(free.size)
 
 
-def _chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+def _checked_witness(family: Family, universe: tuple[VertexId, ...], code: int) -> Coloring:
+    witness = Coloring(universe, code)
+    if not colors(witness, family):
+        raise RuntimeError("internal error: witness failed re-check")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -119,40 +146,28 @@ def find_coloring(
     cap = _limit(limit, "DPCOVER_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
     if n > cap:
         raise UniverseTooLargeError(f"universe has {n} vertices, limit is {cap}")
-    masks, patterns = _mask_patterns(family, universe)
+    cubes = _Subcubes(family, universe, chunk_size)
     total = 1 << n
-
-    bounds = _chunk_bounds(total, chunk_size)
-    jobs = [(lo, hi, masks, patterns) for lo, hi in bounds]
     first: int | None = None
     avoiders = 0
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, jobs))
-        for chunk_first, chunk_count in results:
+    pool = ProcessPoolExecutor(workers) if workers > 1 and len(cubes.starts) > 1 else None
+    try:
+        scans = (pool.map if pool else map)(partial(_chunk_avoiders, cubes), cubes.starts)
+        for chunk_first, chunk_count in scans:
             avoiders += chunk_count
             if first is None and chunk_first is not None:
                 first = chunk_first
                 if not count:
                     break
-    else:
-        for job in jobs:
-            chunk_first, chunk_count = _scan_chunk(job)
-            avoiders += chunk_count
-            if first is None and chunk_first is not None:
-                first = chunk_first
-                if not count:
-                    break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     if first is None:
-        report = ColorabilityReport(False, None, (0 if count else None), total)
-    else:
-        witness = Coloring(universe, first)
-        if not colors(witness, family):
-            raise RuntimeError("internal error: witness failed re-check")
-        enumerated = total if count else first + 1
-        report = ColorabilityReport(True, witness, (avoiders if count else None), enumerated)
-    return report
+        return ColorabilityReport(False, None, (0 if count else None), total)
+    witness = _checked_witness(family, universe, first)
+    enumerated = total if count else first + 1
+    return ColorabilityReport(True, witness, (avoiders if count else None), enumerated)
 
 
 def avoiding_codes(
@@ -167,15 +182,8 @@ def avoiding_codes(
     cap = _limit(limit, "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     if n > cap:
         raise UniverseTooLargeError(f"universe has {n} vertices, limit is {cap}")
-    masks, patterns = _mask_patterns(family, universe)
-    parts = []
-    for lo, hi in _chunk_bounds(1 << n, chunk_size):
-        codes = np.arange(lo, hi, dtype=np.uint64)
-        covered = np.zeros(hi - lo, dtype=bool)
-        for mask, pattern in zip(masks, patterns):
-            covered |= (codes & np.uint64(mask)) == np.uint64(pattern)
-        parts.append(np.flatnonzero(~covered).astype(np.int64) + lo)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    cubes = _Subcubes(family, universe, chunk_size)
+    return np.concatenate([np.flatnonzero(cubes.counts(lo) == 0) + lo for lo in cubes.starts])
 
 
 @dataclass(frozen=True)
@@ -427,7 +435,8 @@ class MultiplicityTable:
     """Multiplicity of every coloring: how many maps each coloring contains.
 
     One enumeration pass shared by the parity identity's right side and the
-    weight-one audit.  `ambient` may extend the family's universe.
+    weight-one audit.  `ambient` may extend the family's universe.  `counts`
+    is unsigned (see the module docstring): cast it before subtracting.
     """
 
     def __init__(
@@ -448,15 +457,8 @@ class MultiplicityTable:
             raise UniverseTooLargeError(f"ambient has {n} vertices, limit is {cap}")
         self.ambient = amb
         self.n = n
-        masks, patterns = _mask_patterns(family, amb)
-        counts = np.zeros(1 << n, dtype=np.int64)
-        self._chunk_size = chunk_size
-        for lo, hi in _chunk_bounds(1 << n, chunk_size):
-            codes = np.arange(lo, hi, dtype=np.uint64)
-            block = counts[lo:hi]
-            for mask, pattern in zip(masks, patterns):
-                block += (codes & np.uint64(mask)) == np.uint64(pattern)
-        self.counts = counts
+        cubes = _Subcubes(family, amb, chunk_size)
+        self.counts = np.concatenate([cubes.counts(lo) for lo in cubes.starts])
 
     def multiplicity(self, bits: int) -> int:
         return int(self.counts[bits])
@@ -473,13 +475,12 @@ class MultiplicityTable:
 
     def signed_sum(self, sign_mask: int) -> int:
         """Sum over all colorings f of (-1)^popcount(f & sign_mask) * multiplicity(f)."""
-        total = 0
-        for lo, hi in _chunk_bounds(1 << self.n, self._chunk_size):
-            codes = np.arange(lo, hi, dtype=np.uint64)
-            parity = np.bitwise_count(codes & np.uint64(sign_mask)) & np.uint64(1)
-            signs = 1 - 2 * parity.astype(np.int64)
-            total += int(np.dot(signs, self.counts[lo:hi]))
-        return total
+        folded = self.counts
+        for i in range(self.n):  # sum out bit i, the lowest left
+            pairs = folded.reshape(-1, 2)
+            zero = pairs[:, 0].astype(np.int64)  # counts are unsigned
+            folded = zero - pairs[:, 1] if sign_mask >> i & 1 else zero + pairs[:, 1]
+        return int(folded[0])
 
 
 @dataclass(frozen=True)
@@ -591,14 +592,12 @@ def weight_one_audit(family: Family, *, limit: int | None = None) -> WeightOneAu
     if w != 1:
         violations.append(AuditViolation("weight-is-one", f"weight is {w}"))
 
-    report = find_coloring(family, limit=cap)
-    if report.colorable:
-        assert report.witness is not None
-        violations.append(
-            AuditViolation("no-coloring", f"coloring {report.witness.bits} avoids every map")
-        )
-
     table = MultiplicityTable(family, limit=cap)
+    free = np.flatnonzero(table.counts == 0)
+    if free.size:
+        witness = _checked_witness(family, family.universe, int(free[0]))
+        violations.append(AuditViolation("no-coloring", f"coloring {witness.bits} avoids every map"))
+
     bad = np.flatnonzero(table.counts != 1)
     if bad.size:
         first_bad = int(bad[0])

@@ -35,6 +35,17 @@ def slow_colorings(family: Family, ambient=None) -> list[dict]:
     ]
 
 
+def slow_multiplicities(family: Family, ambient=None) -> list[int]:
+    """How many maps each total assignment contains, listed by the assignment's
+    code: vertex i of the sorted universe gives bit i, as in the library's tables."""
+    universe = sorted(ambient) if ambient is not None else list(family.universe)
+    counts = [0] * 2 ** len(universe)
+    for f in all_assignments(universe):
+        code = sum(f[v] << i for i, v in enumerate(universe))
+        counts[code] = sum(1 for phi in family.maps if contains(f, phi))
+    return counts
+
+
 def slow_colorable(family: Family) -> bool:
     return bool(slow_colorings(family))
 

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dpcover import analysis, constructions
@@ -15,6 +16,7 @@ from oracles import (
     random_family,
     slow_colorable,
     slow_colorings,
+    slow_multiplicities,
     slow_parity_rhs,
     slow_sample,
     slow_weight,
@@ -74,6 +76,14 @@ class TestFindColoring:
         one = analysis.find_coloring(colorable, count=True, chunk_size=16)
         two = analysis.find_coloring(colorable, count=True, workers=2, chunk_size=16)
         assert one == two
+
+    def test_parallel_scan_stops_at_the_first_witness(self):
+        # Code 0 avoids every map: the witness lies in chunk 0 of 64.
+        family = fam(*([(v, 1), (v + 1, 1)] for v in range(9)))
+        one = analysis.find_coloring(family, chunk_size=16)
+        two = analysis.find_coloring(family, workers=2, chunk_size=16)
+        assert one == two
+        assert two.witness.bits == 0 and two.enumerated == 1
 
     def test_universe_limit(self, monkeypatch):
         big = fam(*([(v, 0)] for v in range(8)))
@@ -331,6 +341,84 @@ class TestMultiplicityTable:
         family = fam(*([(v, 0)] for v in range(6)))
         with pytest.raises(UniverseTooLargeError):
             analysis.MultiplicityTable(family, limit=5)
+
+
+class TestKernelAgainstOracles:
+    """The table, the avoiding codes and the full count read one chunked kernel.
+
+    Chunk sizes below 2^n split the code space; sizes that are not powers of
+    two round down to one.
+    """
+
+    CHUNKS = (1, 3, 8, 1 << 16)
+
+    @staticmethod
+    def check(family, ambient=None, chunk_size=1 << 16):
+        want = slow_multiplicities(family, ambient)
+        table = analysis.MultiplicityTable(family, ambient, chunk_size=chunk_size)
+        assert table.counts.tolist() == want
+        if ambient is not None:
+            return
+        free = [code for code, m in enumerate(want) if m == 0]
+        assert analysis.avoiding_codes(family, chunk_size=chunk_size).tolist() == free
+        report = analysis.find_coloring(family, count=True, chunk_size=chunk_size)
+        assert report.coloring_count == len(free)
+        assert report.witness == (Coloring(family.universe, free[0]) if free else None)
+        assert report.enumerated == len(want)
+        first = analysis.find_coloring(family, chunk_size=chunk_size)
+        assert first.enumerated == (free[0] + 1 if free else len(want))
+
+    def test_random_families_across_chunk_sizes(self, rng):
+        for _ in range(40):
+            family = random_family(rng, max_vertices=7, max_maps=10)
+            for chunk_size in self.CHUNKS:
+                self.check(family, chunk_size=chunk_size)
+
+    def test_empty_family(self):
+        for chunk_size in self.CHUNKS:
+            self.check(Family.of([]), chunk_size=chunk_size)
+            self.check(Family.of([]), ambient=(0, 1, 2), chunk_size=chunk_size)
+
+    def test_empty_map_lies_in_every_code(self):
+        family = fam([], [(0, 1)], [(1, 0), (2, 1)])
+        for chunk_size in self.CHUNKS:
+            self.check(family, chunk_size=chunk_size)
+        assert analysis.MultiplicityTable(family).min() == 1
+
+    def test_ambient_larger_than_the_universe(self, rng):
+        for _ in range(10):
+            family = random_family(rng, max_vertices=5)
+            for chunk_size in self.CHUNKS:
+                self.check(family, ambient=range(8), chunk_size=chunk_size)
+
+    def test_code_in_more_maps_than_uint8_holds(self):
+        zeros = [
+            [(v, 0) for v in subset]
+            for k in range(1, 10)
+            for subset in itertools.combinations(range(9), k)
+        ]
+        family = fam(*zeros)
+        assert len(family) == 511
+        for chunk_size in (8, 1 << 16):
+            self.check(family, chunk_size=chunk_size)
+        table = analysis.MultiplicityTable(family)
+        assert table.multiplicity(0) == table.max() == 511
+        s = (0, 3)
+        rhs = analysis.parity_identity(family, s, table=table).rhs
+        assert to_fraction(rhs) == slow_parity_rhs(family, s, family.universe)
+
+    def test_counts_use_the_smallest_unsigned_dtype(self):
+        assert analysis.MultiplicityTable(fam([(0, 1)])).counts.dtype == np.uint8
+        many = fam(*([(v, 0), (w, 1)] for v in range(17) for w in range(17) if v != w))
+        assert len(many) == 272
+        assert analysis.MultiplicityTable(many).counts.dtype == np.uint16
+
+    def test_signed_sum_below_zero(self):
+        # Unsigned counts must not wrap: only codes with bit 0 set hold the map.
+        table = analysis.MultiplicityTable(fam([(0, 1)]), ambient=(0, 1))
+        assert table.signed_sum(0b01) == -2
+        assert table.signed_sum(0b11) == 0
+        assert table.signed_sum(0) == 2
 
 
 class TestCoverMultiplicity:
