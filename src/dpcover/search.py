@@ -5,10 +5,14 @@ two phases.  Shallow levels run breadth-first with exact isomorph rejection:
 two families get the same canonical key iff one is carried to the other by a
 vertex bijection combined with an optional global 0/1 flip.  Deeper levels
 extend each shallow representative by ascending-index map subsets, which
-visits every completion set exactly once per representative.  Non-colorability
-is decided by a survivor bitmask (one bit per coloring of the pool); a family
-is non-colorable exactly when its survivor mask is zero, and a branch dies
-when the remaining map budget cannot kill the remaining survivors.
+visits every completion set exactly once per representative.  No two maps of a
+family share a domain: phase 1 skips the maps whose domain the family already
+uses, and the completion draws from the maps of the domains the representative
+leaves free, resuming after each chosen map at the first map of the next
+domain.  Non-colorability is decided by a survivor bitmask (one bit per
+coloring of the pool); a family is non-colorable exactly when its survivor
+mask is zero, and a branch dies when the remaining map budget cannot kill the
+remaining survivors.
 
 Every reported witness is re-verified independently through analysis before
 it leaves this module.
@@ -126,15 +130,17 @@ def canonical_key(family: Family, *, limit: int = _KEY_UNIVERSE_LIMIT) -> Canoni
         raise UniverseTooLargeError(
             f"universe has {len(universe)} vertices, canonical_key limit is {limit}"
         )
-    best = None
-    for flip in (False, True):
-        maps = [
-            m.complement().entries if flip else m.entries for m in family.maps
-        ]
-        seq = _min_code_sequence(list(maps))
-        if best is None or seq < best:
-            best = seq
-    return CanonicalKey(_encode_sequence(best if best is not None else ()))
+    return CanonicalKey(_key_of_entries([m.entries for m in family.maps]))
+
+
+def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
+    """canonical_key's bytes for the family with these entry tuples.
+
+    The minimum runs over both the maps and their global flips; the caller
+    bounds the universe.
+    """
+    flipped = [tuple((v, 1 - bit) for v, bit in entries) for entries in maps]
+    return _encode_sequence(min(_min_code_sequence(maps), _min_code_sequence(flipped)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,43 +249,51 @@ def _completion_dfs(
     kept, and once a witness of size s exists only strictly smaller totals
     are explored; the traversal order is fixed, so the outcome does not
     depend on how representatives are distributed over workers.
+
+    The candidates are the pool maps whose domain the representative does
+    not use, in pool order, with cand[p] the pool index, keep[p] the
+    colorings that map p leaves alive, and nxt[p] the position of the first
+    candidate of the next domain.  Pool order sorts by domain and the chosen
+    suffix ascends, so the last chosen map has the largest chosen domain, and
+    the only chosen domain a later candidate can share is the last one's.  A
+    child pushed with start nxt[p] therefore never meets a domain that is
+    already used, and no domain test is needed inside the loop.
     """
     surv = pool.full
-    used_domains = set()
     for i in rep:
         surv &= ~pool.kill[i]
-        used_domains.add(pool.domain_id[i])
+    used = {pool.domain_id[i] for i in rep}
+    cand = [i for i in range(len(pool.maps)) if pool.domain_id[i] not in used]
+    keep = [pool.full ^ pool.kill[i] for i in cand]
+    width = 1 << pool.r  # every domain keeps all its 2^r maps, contiguous
+    nxt = [p - p % width + width for p in range(len(cand))]
     base = len(rep)
-    n_maps = len(pool.maps)
+    n_cand = len(cand)
     best_size: int | None = None
     best_indices: tuple[int, ...] | None = None
     nodes = 0
 
-    # stack entries: (next candidate index, chosen suffix, survivor mask)
+    # stack entries: (next candidate position, chosen suffix, survivor mask)
     stack = [(0, (), surv)]
     while stack:
         start, chosen, surv_here = stack.pop()
+        depth = len(chosen)
         cap = (budget if best_size is None else best_size - 1) - base
-        if len(chosen) >= cap:
+        if depth >= cap:
             continue
-        for idx in range(start, n_maps):
-            d_id = pool.domain_id[idx]
-            if d_id in used_domains or any(pool.domain_id[j] == d_id for j in chosen):
-                continue
-            child_surv = surv_here & ~pool.kill[idx]
+        size = base + depth + 1
+        last = depth + 1 >= cap
+        limit = (cap - depth - 1) * pool.per_map_kill
+        for p in range(start, n_cand):
+            child_surv = surv_here & keep[p]
             nodes += 1
-            size = base + len(chosen) + 1
-            if child_surv == 0:
-                if best_size is None or size < best_size:
-                    best_size = size
-                    best_indices = rep + chosen + (idx,)
+            if child_surv == 0:  # cap admits only sizes below best_size
+                best_size = size
+                best_indices = rep + chosen + (cand[p],)
                 break  # siblings tie or lose on order, deeper nodes are larger
-            if len(chosen) + 1 >= cap:
+            if last or child_surv.bit_count() > limit:
                 continue
-            remaining = cap - len(chosen) - 1
-            if child_surv.bit_count() > remaining * pool.per_map_kill:
-                continue
-            stack.append((idx + 1, chosen + (idx,), child_surv))
+            stack.append((nxt[p], chosen + (cand[p],), child_surv))
     return best_size, best_indices, nodes
 
 
@@ -355,7 +369,7 @@ def search_min_unary(
                     continue
                 child = tuple(sorted(indices + (idx,)))
                 examined += 1
-                key = canonical_key(pool.family(child)).data
+                key = _key_of_entries([pool.maps[i] for i in child])
                 if key in seen:
                     continue
                 seen[key] = None

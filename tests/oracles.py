@@ -146,3 +146,55 @@ def random_unary_uniform_family(
         for domain in chosen
     ]
     return Family.of(maps)
+
+
+# Reference for search._completion_dfs without its candidate list: every pool
+# map is tested against the representative's domains and the chosen suffix.
+def slow_completion_dfs(
+    pool, rep: tuple[int, ...], budget: int
+) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """Depth-first completion of one representative by ascending map indices.
+
+    Returns (best total size, witness indices, nodes visited).  Within this
+    representative the first witness found at the running minimum size is
+    kept, and once a witness of size s exists only strictly smaller totals
+    are explored; the traversal order is fixed, so the outcome does not
+    depend on how representatives are distributed over workers.
+    """
+    surv = pool.full
+    used_domains = set()
+    for i in rep:
+        surv &= ~pool.kill[i]
+        used_domains.add(pool.domain_id[i])
+    base = len(rep)
+    n_maps = len(pool.maps)
+    best_size: int | None = None
+    best_indices: tuple[int, ...] | None = None
+    nodes = 0
+
+    # stack entries: (next candidate index, chosen suffix, survivor mask)
+    stack = [(0, (), surv)]
+    while stack:
+        start, chosen, surv_here = stack.pop()
+        cap = (budget if best_size is None else best_size - 1) - base
+        if len(chosen) >= cap:
+            continue
+        for idx in range(start, n_maps):
+            d_id = pool.domain_id[idx]
+            if d_id in used_domains or any(pool.domain_id[j] == d_id for j in chosen):
+                continue
+            child_surv = surv_here & ~pool.kill[idx]
+            nodes += 1
+            size = base + len(chosen) + 1
+            if child_surv == 0:
+                if best_size is None or size < best_size:
+                    best_size = size
+                    best_indices = rep + chosen + (idx,)
+                break  # siblings tie or lose on order, deeper nodes are larger
+            if len(chosen) + 1 >= cap:
+                continue
+            remaining = cap - len(chosen) - 1
+            if child_surv.bit_count() > remaining * pool.per_map_kill:
+                continue
+            stack.append((idx + 1, chosen + (idx,), child_surv))
+    return best_size, best_indices, nodes

@@ -8,7 +8,7 @@ from dpcover.core import Family, classify, make_partial_map, relabel_family
 from dpcover.dyadic import ONE
 from dpcover.errors import SearchSpaceTooLargeError, UniverseTooLargeError
 
-from oracles import random_family, slow_colorable
+from oracles import random_family, slow_colorable, slow_completion_dfs
 
 
 def fam(*entry_lists):
@@ -166,6 +166,11 @@ class TestSearchMinUnary:
         six = search.search_min_unary(2, 6, 6)
         assert six.witness_size == 6
         assert (six.families_examined, six.canonical_classes) == (429692, 74)
+        seven_vertices = search.search_min_unary(2, 6, 7)
+        assert seven_vertices.witness_size == 6
+        assert (
+            seven_vertices.families_examined, seven_vertices.canonical_classes
+        ) == (1572396, 74)
 
     def test_witness_is_reverified_and_minimal(self):
         report = search.search_min_unary(2, 6, 6)
@@ -204,6 +209,79 @@ class TestSearchMinUnary:
             search.search_min_unary(2, 6, 13)
         with pytest.raises(SearchSpaceTooLargeError):
             search.search_min_unary(2, 30, 12)
+
+
+# (r, max_size, max_vertices); (2, 7, 7) and (3, 8, 5) trip the node cap.
+_DFS_PARAMS = [(2, b, v) for b in range(4, 8) for v in range(4, 8)] + [
+    (1, 4, 5), (3, 8, 5),
+]
+_TOO_LARGE = {(2, 7, 7), (3, 8, 5)}
+
+
+class TestCompletionAgainstOracle:
+    """The candidate-list DFS against its domain-testing predecessor."""
+
+    @pytest.mark.parametrize("r,max_size,max_vertices", _DFS_PARAMS)
+    def test_every_phase1_representative(
+        self, monkeypatch, r, max_size, max_vertices
+    ):
+        fast = search._completion_dfs
+        reps = []
+
+        def both(pool, rep, budget):
+            got = fast(pool, rep, budget)
+            assert got == slow_completion_dfs(pool, rep, budget), rep
+            reps.append(rep)
+            return got
+
+        monkeypatch.setattr(search, "_completion_dfs", both)
+        if (r, max_size, max_vertices) in _TOO_LARGE:
+            with pytest.raises(SearchSpaceTooLargeError):
+                search.search_min_unary(r, max_size, max_vertices)
+            return
+        search.search_min_unary(r, max_size, max_vertices)
+        assert reps
+
+    @pytest.mark.parametrize(
+        "r,n,budget", [(1, 5, 4), (1, 5, 5), (2, 5, 6), (3, 4, 9)]
+    )
+    def test_empty_representative(self, r, n, budget):
+        pool = search._Pool(r, n)
+        got = search._completion_dfs(pool, (), budget)
+        assert got == slow_completion_dfs(pool, (), budget)
+
+    def test_r3_representatives(self):
+        pool = search._Pool(3, 5)
+        for rep in [(0,), (0, 9), (0, 8, 16)]:
+            for budget in (7, 8):
+                got = search._completion_dfs(pool, rep, budget)
+                assert got == slow_completion_dfs(pool, rep, budget)
+
+    def test_budget_equal_to_the_representative(self):
+        pool = search._Pool(2, 5)
+        for rep in [(0,), (0, 4), (0, 4, 8)]:
+            assert search._completion_dfs(pool, rep, len(rep)) == (None, None, 0)
+            assert slow_completion_dfs(pool, rep, len(rep)) == (None, None, 0)
+
+
+class TestPhase1Keys:
+    @pytest.mark.parametrize("max_vertices", [6, 7])
+    def test_keys_match_canonical_key(self, monkeypatch, max_vertices):
+        fast = search._key_of_entries
+        seen = []
+
+        def record(maps):
+            key = fast(maps)
+            seen.append((list(maps), key))
+            return key
+
+        monkeypatch.setattr(search, "_key_of_entries", record)
+        search.search_min_unary(2, 6, max_vertices)
+        monkeypatch.undo()
+        assert len(seen) > 100
+        for maps, key in seen:
+            family = Family.of([make_partial_map(entries) for entries in maps])
+            assert key == search.canonical_key(family).data
 
 
 class TestVerifyBracket:
