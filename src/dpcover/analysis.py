@@ -8,7 +8,8 @@ entries disagree with the chunk is skipped; every other map adds 1 on the
 subcube its low entries fix in the chunk's (2,)*k view.  A map phi costs
 2^(k - |phi's low entries|) per chunk, so a whole pass costs w(F) * 2^n cell
 updates.  Counts use the smallest unsigned dtype that holds len(family), since
-no code lies in more maps than that.  All weights are exact dyadics.
+no code lies in more maps than that.  All weights are exact Fractions whose
+denominators are powers of two.
 
 Enumeration thresholds are defaults, overridable per call or via environment
 variables (DPCOVER_ENUM_LIMIT, DPCOVER_PARITY_LIMIT, DPCOVER_AUDIT_LIMIT).
@@ -21,9 +22,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, product
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .core import (
     colors,
     domain_hypergraph,
 )
-from .dyadic import Dyadic, ZERO, half_power
 from .errors import OutOfUniverseError, UniverseTooLargeError
 
 DEFAULT_ENUM_LIMIT = 30
@@ -398,17 +399,16 @@ def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleRepo
     return SampleReport(trials, seed, counterexamples, first)
 
 
-def map_weight(phi: PartialMap) -> Dyadic:
+def map_weight(phi: PartialMap) -> Fraction:
     """w(phi) = 2^(-|phi|): the fraction of total assignments containing phi."""
-    return half_power(len(phi))
+    return Fraction(1, 1 << len(phi))
 
 
-def weight(family: Family) -> Dyadic:
-    """Sum of member weights, exact."""
-    total = ZERO
-    for m in family.maps:
-        total = total + map_weight(m)
-    return total
+def weight(family: Family) -> Fraction:
+    """Sum of member weights, exact: one integer sum over the common
+    denominator 2^e, e the largest map size."""
+    e = max(map(len, family.maps), default=0)
+    return Fraction(sum(1 << (e - len(m)) for m in family.maps), 1 << e)
 
 
 def weight_lower_bound_certificate(family: Family) -> str:
@@ -493,8 +493,8 @@ class ParityResidual:
     """
 
     subset: tuple[VertexId, ...]
-    lhs: Dyadic
-    rhs: Dyadic
+    lhs: Fraction
+    rhs: Fraction
     ambient: tuple[VertexId, ...]
 
     @property
@@ -530,7 +530,7 @@ def parity_identity(
     sign_mask = 0
     for v in s:
         sign_mask |= 1 << rank[v]
-    rhs = Dyadic(table.signed_sum(sign_mask), table.n)
+    rhs = Fraction(table.signed_sum(sign_mask), 1 << table.n)
     return ParityResidual(s, lhs, rhs, amb)
 
 
@@ -564,7 +564,7 @@ class WeightOneAudit:
     All clauses are evaluated independently; `violations` lists every failure.
     """
 
-    family_weight: Dyadic
+    family_weight: Fraction
     violations: tuple[AuditViolation, ...]
 
     @property
@@ -681,7 +681,10 @@ def _is_constant(codes: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
 
 
 def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> ClaimResult:
-    """Verify one claim descriptor against the family by direct computation."""
+    """Verify one claim descriptor against the family by direct computation.
+
+    Raises ValueError when the claim lacks a field its kind needs.
+    """
     kind = claim.get("kind", "")
     profile = classify(family)
     rank = _ranks(family.universe)
@@ -691,6 +694,11 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return None
         return [rank[v] for v in vertices]
 
+    def field(name: str) -> Any:
+        if name not in claim:
+            raise ValueError(f"claim {kind!r} has no {name!r} field")
+        return claim[name]
+
     def fail(msg: str) -> ClaimResult:
         return ClaimResult(kind, False, msg)
 
@@ -698,14 +706,14 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         return ClaimResult(kind, True, msg)
 
     if kind == "map-count":
-        want = claim["value"]
+        want = field("value")
         return ok() if len(family) == want else fail(f"{len(family)} maps, expected {want}")
     if kind == "universe-size":
-        want = claim["value"]
+        want = field("value")
         got = len(family.universe)
         return ok() if got == want else fail(f"{got} vertices, expected {want}")
     if kind == "uniform":
-        want = claim["r"]
+        want = field("r")
         if profile.uniformity == want:
             return ok()
         return fail(f"uniformity {profile.uniformity}, expected {want}")
@@ -722,22 +730,22 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"{len(profile.cover_of)} edges, expected {edges}")
         return ok()
     if kind == "weight":
-        got = str(weight(family))
-        return ok() if got == claim["value"] else fail(f"weight {got}, expected {claim['value']}")
+        got, want = str(weight(family)), field("value")
+        return ok() if got == want else fail(f"weight {got}, expected {want}")
     if kind == "transversal-domains":
-        pairs = [tuple(p) for p in claim["pairs"]]
+        pairs = [tuple(p) for p in field("pairs")]
         want = {tuple(sorted(choice)) for choice in product(*pairs)}
         got = {m.domain for m in family.maps}
         return ok() if got == want else fail("domains differ from the pair transversals")
     if kind == "sampled-no-coloring":
-        rep = sample_noncolorability(family, claim["trials"], claim["seed"])
+        rep = sample_noncolorability(family, field("trials"), field("seed"))
         if rep.counterexamples:
             return fail(f"{rep.counterexamples} avoiding colorings in {rep.trials} trials")
         return ok()
     if kind == "multiplicity-histogram":
         table = MultiplicityTable(family, limit=limit)
         got = {str(k): v for k, v in table.histogram().items()}
-        want = dict(claim["histogram"])
+        want = dict(field("histogram"))
         return ok() if got == want else fail(f"histogram {got}, expected {want}")
 
     # The remaining kinds quantify over the family's avoiding colorings.
@@ -749,10 +757,10 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
     if kind == "colorable":
         return ok() if codes.size else fail("no coloring avoids every map")
     if kind == "coloring-count":
-        want = claim["value"]
+        want = field("value")
         return ok() if codes.size == want else fail(f"{codes.size} colorings, expected {want}")
     if kind == "forces-equal":
-        rs = ranks_of(claim["vertices"])
+        rs = ranks_of(field("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(~_is_constant(codes, rs))
@@ -760,7 +768,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} is not constant there")
         return ok()
     if kind == "forces-distinct":
-        rs = ranks_of(claim["vertices"])
+        rs = ranks_of(field("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         a, b = rs
@@ -769,7 +777,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} agrees on the pair")
         return ok()
     if kind == "pair-disagreement":
-        for pair in claim["pairs"]:
+        for pair in field("pairs"):
             rs = ranks_of(pair)
             if rs is None:
                 return fail("claim mentions a vertex outside the universe")
@@ -779,7 +787,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
                 return fail(f"coloring {int(codes[bad[0]])} agrees on pair {list(pair)}")
         return ok()
     if kind == "odd-ones":
-        rs = ranks_of(claim["vertices"])
+        rs = ranks_of(field("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         parity = np.zeros(codes.shape, dtype=np.int64)
@@ -790,7 +798,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} has an even number of ones there")
         return ok()
     if kind == "constant-implies-constant":
-        src, dst = ranks_of(claim["src"]), ranks_of(claim["dst"])
+        src, dst = ranks_of(field("src")), ranks_of(field("dst"))
         if src is None or dst is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(_is_constant(codes, src) & ~_is_constant(codes, dst))
@@ -798,7 +806,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} is constant on src, not on dst")
         return ok()
     if kind == "never-both-constant":
-        left, right = ranks_of(claim["left"]), ranks_of(claim["right"])
+        left, right = ranks_of(field("left")), ranks_of(field("right"))
         if left is None or right is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(_is_constant(codes, left) & _is_constant(codes, right))
@@ -806,7 +814,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} is constant on both sides")
         return ok()
     if kind == "constant-side":
-        left, right = ranks_of(claim["left"]), ranks_of(claim["right"])
+        left, right = ranks_of(field("left")), ranks_of(field("right"))
         if left is None or right is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(~(_is_constant(codes, left) | _is_constant(codes, right)))

@@ -38,7 +38,8 @@ def serialize(obj: GadgetOutput | Family) -> str:
 
 
 def parse(text: str) -> GadgetOutput:
-    """Inverse of serialize; raises DpcoverError subclasses on bad content."""
+    """Inverse of serialize; raises ValueError or a DpcoverError subclass on
+    bad content, including a document of the wrong shape."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -49,15 +50,37 @@ def parse(text: str) -> GadgetOutput:
         raise ValueError(
             f"unsupported format_version {doc.get('format_version')!r}"
         )
-    maps = [
-        make_partial_map([(int(v), int(b)) for v, b in entry_list])
-        for entry_list in doc.get("maps", [])
-    ]
-    family = Family.of(maps)
-    labels = {str(k): int(v) for k, v in doc.get("labels", {}).items()}
-    claims = list(doc.get("claimed_properties", []))
-    notes = {str(k): str(v) for k, v in doc.get("notes", {}).items()}
+    maps = _field(doc, "maps", list)
+    family = Family.of(make_partial_map(_entries(i, e)) for i, e in enumerate(maps))
+    labels = _field(doc, "labels", dict)
+    if not all(type(v) is int for v in labels.values()):
+        raise ValueError("label values must be integer vertex ids")
+    claims = _field(doc, "claimed_properties", list)
+    if not all(isinstance(c, dict) and isinstance(c.get("kind"), str) for c in claims):
+        raise ValueError("each claimed property must be an object with a string 'kind'")
+    notes = {str(k): str(v) for k, v in _field(doc, "notes", dict).items()}
     return GadgetOutput(family, labels, str(doc.get("source", "")), claims, notes)
+
+
+def _entries(i: int, entry_list: object) -> list[tuple[int, int]]:
+    """The entries of map i, which must be [vertex, bit] pairs of integers."""
+    if type(entry_list) is list:
+        for pair in entry_list:
+            if type(pair) is not list or len(pair) != 2:
+                break
+            if type(pair[0]) is not int or type(pair[1]) is not int:
+                break
+        else:
+            return list(map(tuple, entry_list))
+    raise ValueError(f"maps[{i}] is not a list of [vertex, bit] integer pairs")
+
+
+def _field(doc: dict, name: str, kind: type) -> list | dict:
+    """The optional top-level field `name`, empty when absent; must be a `kind`."""
+    value = doc.get(name, kind())
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a JSON {'array' if kind is list else 'object'}")
+    return value
 
 
 def export_cnf(family: Family) -> str:
@@ -128,9 +151,9 @@ def _read_document(path: str) -> GadgetOutput:
         return parse(handle.read())
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_text(text: str, path: str | None, out: IO[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        out.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -151,7 +174,7 @@ def _profile_line(family: Family) -> str:
     )
 
 
-def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_construct(args: argparse.Namespace, out: IO[str], parser: argparse.ArgumentParser) -> int:
     name = args.gadget
     if name in _PLAIN_GADGETS:
         if args.r is not None:
@@ -161,7 +184,7 @@ def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         if args.r is None:
             parser.error(f"gadget {name} requires --r")
         gadget = _PARAMETRIC_GADGETS[name](args.r)
-    _write_text(serialize(gadget), args.out)
+    _write_text(serialize(gadget), args.out, out)
     return 0
 
 
@@ -238,9 +261,9 @@ def _cmd_audit(args: argparse.Namespace, out: IO[str]) -> int:
     return 0 if audit.consistent else 1
 
 
-def _cmd_export_cnf(args: argparse.Namespace) -> int:
+def _cmd_export_cnf(args: argparse.Namespace, out: IO[str]) -> int:
     doc = _read_document(args.file)
-    _write_text(export_cnf(doc.family), args.out)
+    _write_text(export_cnf(doc.family), args.out, out)
     return 0
 
 
@@ -296,38 +319,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("gadget", choices=GADGET_NAMES)
     p_construct.add_argument("--r", type=int, default=None)
     p_construct.add_argument("--out", default=None)
+    p_construct.set_defaults(func=lambda args, out: _cmd_construct(args, out, parser))
 
     p_verify = sub.add_parser("verify", help="classify a family document")
     p_verify.add_argument("file", nargs="?", default="-")
     p_verify.add_argument("--claims", action="store_true")
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_color = sub.add_parser("color", help="search for an avoiding coloring")
     p_color.add_argument("file", nargs="?", default="-")
     p_color.add_argument("--count", action="store_true")
     p_color.add_argument("--sample", type=int, default=None)
     p_color.add_argument("--seed", type=int, default=0)
+    p_color.set_defaults(func=_cmd_color)
 
     p_weight = sub.add_parser("weight", help="print the exact family weight")
     p_weight.add_argument("file", nargs="?", default="-")
+    p_weight.set_defaults(func=_cmd_weight)
 
     p_parity = sub.add_parser("parity", help="check the signed weight identity")
     p_parity.add_argument("file", nargs="?", default="-")
     p_parity.add_argument("--set", required=True, help="comma-separated vertices")
+    p_parity.set_defaults(func=_cmd_parity)
 
     p_audit = sub.add_parser("audit-weight-one", help="weight-1 structure audit")
     p_audit.add_argument("file", nargs="?", default="-")
+    p_audit.set_defaults(func=_cmd_audit)
 
     p_cnf = sub.add_parser("export-cnf", help="emit the family as DIMACS CNF")
     p_cnf.add_argument("file", nargs="?", default="-")
     p_cnf.add_argument("--out", default=None)
+    p_cnf.set_defaults(func=_cmd_export_cnf)
 
     p_search = sub.add_parser("search-unary", help="minimality search")
     p_search.add_argument("--r", type=int, required=True)
     p_search.add_argument("--max-size", type=int, required=True)
     p_search.add_argument("--max-vertices", type=int, required=True)
+    p_search.set_defaults(func=_cmd_search)
 
     p_bracket = sub.add_parser("bracket", help="bracket the minimum family size")
     p_bracket.add_argument("--r", type=int, required=True)
+    p_bracket.set_defaults(func=_cmd_bracket)
 
     return parser
 
@@ -335,31 +367,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
     try:
-        if args.command == "construct":
-            return _cmd_construct(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "color":
-            return _cmd_color(args, out)
-        if args.command == "weight":
-            return _cmd_weight(args, out)
-        if args.command == "parity":
-            return _cmd_parity(args, out)
-        if args.command == "audit-weight-one":
-            return _cmd_audit(args, out)
-        if args.command == "export-cnf":
-            return _cmd_export_cnf(args)
-        if args.command == "search-unary":
-            return _cmd_search(args, out)
-        if args.command == "bracket":
-            return _cmd_bracket(args, out)
-        parser.error(f"unknown command {args.command}")
+        return args.func(args, sys.stdout)
     except (DpcoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def main() -> None:

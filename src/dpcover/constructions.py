@@ -25,9 +25,9 @@ from .errors import (
     UniverseOverlapError,
 )
 
+# The seeded stream behind every sampled non-colorability claim and bracket.
 _SAMPLED_CLAIM_TRIALS = 2000
 _SAMPLED_CLAIM_SEED = 0x5EED
-_ENUM_CLAIM_LIMIT = 24  # above this, non-colorability claims fall back to sampling
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _shape_claims(family: Family, *, uniform: int, edges: int | None = None) -> 
 
 def _noncolorability_claim(family: Family) -> tuple[dict, str]:
     """An exhaustive claim at desk scale, a seeded sampling claim beyond it."""
-    if len(family.universe) <= _ENUM_CLAIM_LIMIT:
+    if len(family.universe) <= analysis.DEFAULT_PARITY_LIMIT:
         return {"kind": "no-coloring"}, "certified-by-enumeration"
     return (
         {
@@ -465,7 +465,7 @@ def lift_to_cover(family: Family, pivot: VertexId | None = None) -> GadgetOutput
         pivot = (max(universe) + 1) if universe else 0
     if pivot in universe:
         raise UniverseOverlapError(f"pivot {pivot} lies inside the input universe")
-    if len(universe) <= _ENUM_CLAIM_LIMIT:
+    if len(universe) <= analysis.DEFAULT_PARITY_LIMIT:
         if analysis.find_coloring(family).colorable:
             raise ValueError("input family admits an avoiding coloring")
         mode = "certified-by-enumeration"

@@ -11,6 +11,7 @@ and pure.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +57,7 @@ class PartialMap:
         raise KeyError(vertex)
 
     def complement(self) -> "PartialMap":
+        """Pointwise flip on the same domain; an involution."""
         return PartialMap(tuple((v, 1 - bit) for v, bit in self.entries))
 
     def as_dict(self) -> dict[VertexId, int]:
@@ -77,9 +79,8 @@ def make_partial_map(pairs: Iterable[tuple[VertexId, int]]) -> PartialMap:
     return PartialMap(tuple(sorted(pairs)))
 
 
-def complement(phi: PartialMap) -> PartialMap:
-    """Pointwise flip on the same domain; an involution."""
-    return phi.complement()
+def _edge_order(edge: tuple[VertexId, ...]) -> tuple[int, tuple[VertexId, ...]]:
+    return len(edge), edge
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,15 @@ class Hypergraph:
     @staticmethod
     def of(edges: Iterable[Iterable[VertexId]]) -> "Hypergraph":
         normalized = {tuple(sorted(set(e))) for e in edges}
-        return Hypergraph(tuple(sorted(normalized, key=lambda e: (len(e), e))))
+        return Hypergraph(tuple(sorted(normalized, key=_edge_order)))
 
     def __len__(self) -> int:
         return len(self.edges)
 
     def __contains__(self, edge: Iterable[VertexId]) -> bool:
-        return tuple(sorted(set(edge))) in set(self.edges)
+        e = tuple(sorted(set(edge)))
+        i = bisect_left(self.edges, _edge_order(e), key=_edge_order)
+        return i < len(self.edges) and self.edges[i] == e
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -129,8 +132,11 @@ class Family:
     def __iter__(self) -> Iterator[PartialMap]:
         return iter(self.maps)
 
-    def __contains__(self, phi: PartialMap) -> bool:
-        return phi in set(self.maps)
+    def __contains__(self, phi: object) -> bool:
+        if not isinstance(phi, PartialMap):
+            return False
+        i = bisect_left(self.maps, phi)
+        return i < len(self.maps) and self.maps[i] == phi
 
     @cached_property
     def universe(self) -> tuple[VertexId, ...]:

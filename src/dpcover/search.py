@@ -26,7 +26,6 @@ from math import comb
 
 from . import analysis
 from .core import Family, PartialMap, VertexId, make_partial_map
-from .dyadic import ONE, Dyadic
 from .errors import SearchSpaceTooLargeError, UniverseTooLargeError
 
 _KEY_UNIVERSE_LIMIT = 12
@@ -349,7 +348,7 @@ def search_min_unary(
     # Weight certificate: every map of an r-uniform family has
     # weight 2^-r, so no family of at most max_size maps can reach weight 1
     # when max_size < 2^r; none of them can be non-colorable.
-    if Dyadic(max_size, 0) * Dyadic(1, r) < ONE:
+    if max_size < 1 << r:
         return MinimalityReport(r, max_size, max_vertices, None, None, 0, 0)
 
     pool = _Pool(r, max_vertices)
@@ -445,7 +444,7 @@ def _finish_report(
     check = analysis.find_coloring(witness)
     if check.colorable or not profile.is_unary or profile.uniformity != r:
         raise RuntimeError("search produced an invalid witness; internal bug")
-    if analysis.weight(witness) < ONE:
+    if analysis.weight(witness) < 1:
         raise RuntimeError("non-colorable witness with weight < 1; internal bug")
     return MinimalityReport(
         r, max_size, max_vertices, witness, size, examined, classes_seen
@@ -503,7 +502,11 @@ def verify_bracket(r: int, *, workers: int = 1) -> BracketReport:
             raise RuntimeError("bracket witness unexpectedly colorable")
         certification = "enumerated"
     else:
-        sample = analysis.sample_noncolorability(family, trials=2000, seed=0x5EED)
+        sample = analysis.sample_noncolorability(
+            family,
+            trials=constructions._SAMPLED_CLAIM_TRIALS,
+            seed=constructions._SAMPLED_CLAIM_SEED,
+        )
         if sample.counterexamples:
             raise RuntimeError("bracket witness unexpectedly colorable")
         certification = "sampled"

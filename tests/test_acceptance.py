@@ -12,7 +12,6 @@ import pytest
 
 from dpcover import analysis, cli, constructions, search
 from dpcover.core import Coloring, Family, classify, domain_hypergraph, make_partial_map
-from dpcover.dyadic import ONE, ZERO, Dyadic
 
 from oracles import cnf_satisfiable
 
@@ -235,7 +234,7 @@ def test_c09_weight_one_audits():
         family = constructions.binary_family(r).family
         audit = analysis.weight_one_audit(family)
         assert audit.verdict == "consistent"
-        assert audit.family_weight == ONE
+        assert audit.family_weight == 1
         table = analysis.MultiplicityTable(family)
         assert table.min() == table.max() == 1
         for size in range(1, len(family.universe) + 1):
@@ -252,13 +251,13 @@ def test_c10_domination_and_removal():
         constructions.binary_family(4).family,
         constructions.k43_cover().family,
     ):
-        assert analysis.weight(family) == ONE
+        assert analysis.weight(family) == 1
         assert not analysis.find_coloring(family).colorable
         assert analysis.domination_orphans(family) == ()
     family = constructions.binary_family(3).family
     for drop in range(len(family)):
         smaller = Family.of(family.maps[:drop] + family.maps[drop + 1 :])
-        assert analysis.weight(smaller) < ONE
+        assert analysis.weight(smaller) < 1
         assert analysis.find_coloring(smaller).colorable
     print("C10: PASS domination holds; every single-map removal opens a coloring")
 

@@ -8,7 +8,6 @@ import pytest
 
 from dpcover import analysis, constructions
 from dpcover.core import Coloring, Family, make_partial_map
-from dpcover.dyadic import ONE, ZERO, Dyadic
 from dpcover.errors import OutOfUniverseError, UniverseTooLargeError
 
 from oracles import (
@@ -25,10 +24,6 @@ from oracles import (
 
 def fam(*entry_lists):
     return Family.of([make_partial_map(entries) for entries in entry_lists])
-
-
-def to_fraction(d: Dyadic) -> Fraction:
-    return Fraction(d.numerator, 1 << d.exponent)
 
 
 class TestFindColoring:
@@ -161,16 +156,16 @@ class TestWeight:
     def test_matches_slow_oracle(self, rng):
         for _ in range(200):
             family = random_family(rng, max_maps=8)
-            assert to_fraction(analysis.weight(family)) == slow_weight(family)
+            assert analysis.weight(family) == slow_weight(family)
 
     def test_map_weight(self):
-        assert analysis.map_weight(make_partial_map([(0, 0)])) == Dyadic(1, 1)
-        assert analysis.map_weight(make_partial_map([])) == ONE
-        assert analysis.map_weight(make_partial_map([(0, 0), (5, 1), (9, 0)])) == Dyadic(1, 3)
+        assert analysis.map_weight(make_partial_map([(0, 0)])) == Fraction(1, 2)
+        assert analysis.map_weight(make_partial_map([])) == 1
+        assert analysis.map_weight(make_partial_map([(0, 0), (5, 1), (9, 0)])) == Fraction(1, 8)
 
     def test_certificate_thresholds(self):
         three_triples = fam([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)], [(0, 0), (1, 1), (2, 0)])
-        assert analysis.weight(three_triples) == Dyadic(3, 3)
+        assert analysis.weight(three_triples) == Fraction(3, 8)
         assert analysis.weight_lower_bound_certificate(three_triples) == "colorable-guaranteed"
         assert slow_colorable(three_triples)
         assert analysis.weight_lower_bound_certificate(constructions.binary_family(3).family) == "inconclusive"
@@ -186,7 +181,7 @@ class TestWeight:
         # force weight below one.
         g = constructions.lift_to_cover(constructions.unary_upper_even(2).family)
         trimmed = Family.of(g.family.maps[:4])
-        assert analysis.weight(trimmed) < ONE
+        assert analysis.weight(trimmed) < 1
         assert analysis.weight_lower_bound_certificate(trimmed) == "colorable-guaranteed"
 
 
@@ -253,8 +248,8 @@ class TestParityIdentity:
                 s = tuple(sorted(rng.sample(universe, size)))
                 res = analysis.parity_identity(family, s)
                 oracle = slow_parity_rhs(family, s, res.ambient)
-                assert to_fraction(res.rhs) == oracle
-                assert to_fraction(res.lhs) == oracle
+                assert res.rhs == oracle
+                assert res.lhs == oracle
 
     def test_lhs_uses_weights_of_the_split(self, rng):
         for _ in range(25):
@@ -273,7 +268,7 @@ class TestParityIdentity:
             for s in itertools.combinations(family.universe, size):
                 res = analysis.parity_identity(family, s)
                 assert res.holds
-                assert res.lhs == ZERO
+                assert res.lhs == 0
 
     def test_ambient_extension_scales_rhs_consistently(self):
         family = fam([(0, 0)])
@@ -405,7 +400,7 @@ class TestKernelAgainstOracles:
         assert table.multiplicity(0) == table.max() == 511
         s = (0, 3)
         rhs = analysis.parity_identity(family, s, table=table).rhs
-        assert to_fraction(rhs) == slow_parity_rhs(family, s, family.universe)
+        assert rhs == slow_parity_rhs(family, s, family.universe)
 
     def test_counts_use_the_smallest_unsigned_dtype(self):
         assert analysis.MultiplicityTable(fam([(0, 1)])).counts.dtype == np.uint8
@@ -442,7 +437,7 @@ class TestWeightOneAudit:
         for r in (2, 3):
             audit = analysis.weight_one_audit(constructions.binary_family(r).family)
             assert audit.consistent
-            assert audit.family_weight == ONE
+            assert audit.family_weight == 1
             assert audit.verdict == "consistent"
 
     def test_weight_clause(self):
@@ -461,7 +456,7 @@ class TestWeightOneAudit:
         # all-ones coloring uncovered, so every downstream clause trips.
         family = fam([(0, 0)], [(1, 0)])
         audit = analysis.weight_one_audit(family)
-        assert audit.family_weight == ONE
+        assert audit.family_weight == 1
         clauses = [v.clause for v in audit.violations]
         assert clauses == ["no-coloring", "multiplicity-one", "parity-balance"]
         assert audit.verdict == "violated:no-coloring"
@@ -499,13 +494,13 @@ class TestDomination:
             constructions.binary_family(4).family,
             constructions.k43_cover().family,
         ):
-            assert analysis.weight(family) == ONE
+            assert analysis.weight(family) == 1
             assert analysis.domination_orphans(family) == ()
 
     def test_removing_a_map_creates_an_avoider(self):
         family = constructions.binary_family(3).family
         smaller = Family.of(family.maps[1:])
-        assert analysis.weight(smaller) < ONE
+        assert analysis.weight(smaller) < 1
         assert slow_colorable(smaller)
 
     def test_orphans_found_when_domains_are_incomparable(self):

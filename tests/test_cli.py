@@ -75,6 +75,20 @@ class TestSerialization:
             parse('{"format_version": "1", "maps": [[[0, 0]], [[0, 0]]]}')
         with pytest.raises(ValueError):
             parse('{"format_version": "1", "maps": [[[0, 2]]]}')
+        with pytest.raises(ValueError, match="format_version None"):
+            parse('{"maps": [[[0, 0]]]}')  # the version is required
+        for shape in (
+            '"maps": {}',
+            '"maps": [[[0, "1"]]]',
+            '"maps": [[[0, 1, 1]]]',
+            '"maps": [[[0, true]]]',
+            '"labels": {"x": "0"}',
+            '"notes": []',
+            '"claimed_properties": {}',
+            '"claimed_properties": [{"kind": 3}]',
+        ):
+            with pytest.raises(ValueError):
+                parse('{"format_version": "1", ' + shape + "}")
 
 
 class TestExportCnf:
@@ -202,6 +216,28 @@ class TestVerifyCommand:
         monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(constructions.k43_cover())))
         assert cli_main(["verify"]) == 0
         assert capsys.readouterr().out.endswith("verified\n")
+
+    def verify_malformed(self, tmp_path, capsys, **fields):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"format_version": "1", "maps": [], **fields}))
+        assert cli_main(["verify", str(path), "--claims"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_claim_missing_its_field_exits_one(self, tmp_path, capsys):
+        err = self.verify_malformed(
+            tmp_path, capsys, claimed_properties=[{"kind": "map-count"}]
+        )
+        assert "'map-count'" in err and "'value'" in err
+
+    def test_map_of_bare_integers_exits_one(self, tmp_path, capsys):
+        err = self.verify_malformed(tmp_path, capsys, maps=[[0, 1]])
+        assert "maps[0]" in err
+
+    def test_labels_not_an_object_exits_one(self, tmp_path, capsys):
+        err = self.verify_malformed(tmp_path, capsys, labels=[1])
+        assert "labels" in err
 
     def test_bad_document_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

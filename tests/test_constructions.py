@@ -8,7 +8,6 @@ import pytest
 
 from dpcover import analysis, constructions
 from dpcover.core import Family, Hypergraph, classify, domain_hypergraph, make_partial_map, relabel_family
-from dpcover.dyadic import ONE, Dyadic
 from dpcover.errors import (
     NotUnaryError,
     OddRError,
@@ -102,7 +101,7 @@ class TestK43:
         k43 = Hypergraph.of([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert profile.cover_of == k43
         assert not slow_colorable(g.family)
-        assert analysis.weight(g.family) == ONE
+        assert analysis.weight(g.family) == 1
 
     def test_claims_verify(self):
         assert all_claims_pass(constructions.k43_cover()) == []
@@ -286,7 +285,7 @@ class TestBinaryFamily:
         assert profile.is_binary
         assert len(g.family) == 1 << r
         assert len(g.family.universe) == (1 << r) - 1
-        assert analysis.weight(g.family) == ONE
+        assert analysis.weight(g.family) == 1
         assert not slow_colorable(g.family)
 
     @pytest.mark.parametrize("r", range(2, 9))
@@ -539,5 +538,5 @@ def test_weight_bound_versus_noncolorability_on_gadgets():
     ):
         if len(family.universe) <= 10:
             assert not slow_colorable(family)
-        assert analysis.weight(family) >= ONE
+        assert analysis.weight(family) >= 1
         assert analysis.weight_lower_bound_certificate(family) == "inconclusive"

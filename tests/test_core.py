@@ -11,7 +11,6 @@ from dpcover.core import (
     avoids,
     classify,
     colors,
-    complement,
     domain_hypergraph,
     make_partial_map,
     relabel_family,
@@ -54,10 +53,10 @@ class TestPartialMap:
 
     def test_complement_involution(self):
         phi = pm((0, 0), (1, 1))
-        assert complement(phi) == pm((0, 1), (1, 0))
-        assert complement(complement(phi)) == phi
-        assert complement(pm()) == pm()
-        assert complement(pm((3, 1))) .domain == (3,)
+        assert phi.complement() == pm((0, 1), (1, 0))
+        assert phi.complement().complement() == phi
+        assert pm().complement() == pm()
+        assert pm((3, 1)).complement().domain == (3,)
 
 
 class TestFamily:
@@ -191,6 +190,22 @@ class TestClassify:
                 other.universe_size,
                 other.map_count,
             )
+
+
+def test_membership_agrees_with_a_linear_scan(rng):
+    """`in` on the sorted tuples matches a scan, for members and non-members,
+    with edges given unsorted and duplicated."""
+    for _ in range(200):
+        fam = random_family(rng, max_vertices=5, min_map_size=0, allow_empty=True)
+        others = random_family(rng, max_vertices=5).maps
+        for probe in fam.maps + others:
+            assert (probe in fam) == any(m == probe for m in fam.maps)
+        assert others[0].entries not in fam  # not a PartialMap
+        raw = [rng.sample(range(6), rng.randint(0, 4)) for _ in range(rng.randint(0, 6))]
+        hg = Hypergraph.of(raw + raw[:2])
+        for edge in raw + [rng.sample(range(7), rng.randint(0, 4)) for _ in range(4)]:
+            probe_edge = edge[::-1] + edge[:1]
+            assert (probe_edge in hg) == any(set(e) == set(edge) for e in hg.edges)
 
 
 def test_relabel_requires_injectivity():

@@ -1,95 +1,63 @@
-"""Exact dyadic arithmetic, cross-checked against fractions.Fraction."""
-import random
+"""Exact weights are dyadic rationals, held as fractions.Fraction."""
 from fractions import Fraction
 
-import pytest
+from dpcover import analysis, constructions
+from dpcover.core import Family, make_partial_map
 
-from dpcover.dyadic import ONE, ZERO, Dyadic, half_power
-
-
-def test_normalization_strips_factors_of_two():
-    assert Dyadic(4, 3) == Dyadic(1, 1)
-    assert Dyadic(4, 3).numerator == 1
-    assert Dyadic(4, 3).exponent == 1
-    assert Dyadic(0, 7) == ZERO
-    assert Dyadic(0, 7).exponent == 0
+from oracles import random_family, slow_weight
 
 
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        Dyadic(1, -1)
+def fam(*entry_lists):
+    return Family.of([make_partial_map(entries) for entries in entry_lists])
 
 
-def test_basic_arithmetic():
-    half = half_power(1)
-    assert half + half == ONE
-    assert ONE - half == half
-    assert half * half == Dyadic(1, 2)
-    assert -half == Dyadic(-1, 1)
-    assert 1 + half == Dyadic(3, 1)
-    assert 2 * half == ONE
-    assert 1 - half == half
+def is_dyadic(value) -> bool:
+    return isinstance(value, Fraction) and value.denominator & (value.denominator - 1) == 0
 
 
-def test_comparisons():
-    assert half_power(2) < half_power(1) < ONE
-    assert Dyadic(3, 1) > 1
-    assert Dyadic(3, 1) >= Dyadic(3, 1)
-    assert ZERO <= ZERO
-    assert Dyadic(-1, 1) < 0
+# Odd side of the split on {0} weighs 1/8 + 1/4; the even side is empty.
+ODD_HEAVY = fam([(0, 1), (1, 0), (2, 0)], [(0, 1), (1, 1)])
 
 
-def test_equality_with_integers_and_hash():
-    assert Dyadic(8, 2) == 2
-    assert hash(Dyadic(8, 2)) == hash(Dyadic(2, 0))
-    assert Dyadic(1, 1) != 1
-    assert Dyadic(1, 1) != "1/2"
+def test_values_are_fractions_with_power_of_two_denominators(rng):
+    for _ in range(50):
+        family = random_family(rng, max_vertices=5, min_map_size=0, allow_empty=True)
+        assert is_dyadic(analysis.weight(family))
+        assert all(is_dyadic(analysis.map_weight(m)) for m in family.maps)
+        audit = analysis.weight_one_audit(family)
+        assert is_dyadic(audit.family_weight)
+        for s in (family.universe[:1], family.universe[::2]):
+            res = analysis.parity_identity(family, s)
+            assert is_dyadic(res.lhs) and is_dyadic(res.rhs)
 
 
-def test_mixing_with_float_raises():
-    with pytest.raises(TypeError):
-        half_power(1) + 0.5  # type: ignore[operator]
+def test_weight_matches_slow_sum(rng):
+    """Random families, the empty family, the empty map and mixed map sizes."""
+    for _ in range(300):
+        family = random_family(
+            rng, max_vertices=7, max_maps=10, min_map_size=0, allow_empty=True
+        )
+        assert analysis.weight(family) == slow_weight(family)
+    assert analysis.weight(Family.of([])) == slow_weight(Family.of([])) == 0
+    assert analysis.weight(fam([])) == 1
+    mixed = fam([], [(0, 1)], [(0, 0), (3, 1), (9, 0)])
+    assert analysis.weight(mixed) == slow_weight(mixed) == Fraction(13, 8)
 
 
 def test_str_forms():
-    assert str(ONE) == "1"
-    assert str(Dyadic(-3, 3)) == "-3/8"
-    assert str(ZERO) == "0"
-    assert str(Dyadic(5, 2)) == "5/4"
+    assert str(analysis.weight(Family.of([]))) == "0"
+    assert str(analysis.weight(constructions.k43_cover().family)) == "1"
+    assert str(analysis.weight(fam([(0, 0)], [(1, 0)], [(2, 0), (3, 0)]))) == "5/4"
+    res = analysis.parity_identity(ODD_HEAVY, (0,))
+    assert str(res.lhs) == str(res.rhs) == "-3/8"
+    assert str(analysis.weight_one_audit(ODD_HEAVY).family_weight) == "3/8"
 
 
-def test_parse_round_trip():
-    for text in ("0", "1", "-1", "3/8", "-7/16", "5/4"):
-        assert str(Dyadic.parse(text)) == text
-
-
-def test_parse_rejects_non_dyadic():
-    with pytest.raises(ValueError):
-        Dyadic.parse("1/3")
-
-
-def test_is_integer():
-    assert ONE.is_integer()
-    assert ZERO.is_integer()
-    assert not half_power(1).is_integer()
-
-
-def test_random_arithmetic_matches_fraction(rng: random.Random):
-    """Sums, differences, products, and comparisons agree with Fraction."""
-    def draw():
-        return Dyadic(rng.randint(-64, 64), rng.randint(0, 8))
-
-    for _ in range(500):
-        a, b = draw(), draw()
-        fa, fb = a.as_fraction(), b.as_fraction()
-        assert (a + b).as_fraction() == fa + fb
-        assert (a - b).as_fraction() == fa - fb
-        assert (a * b).as_fraction() == fa * fb
-        assert (a < b) == (fa < fb)
-        assert (a == b) == (fa == fb)
-        assert (a >= b) == (fa >= fb)
-
-
-def test_sum_builtin_starts_at_zero():
-    values = [half_power(2)] * 4
-    assert sum(values, ZERO) == ONE
+def test_comparisons():
+    """Weights compare exactly with each other and with integers."""
+    assert analysis.map_weight(make_partial_map([(0, 0), (1, 0)])) < analysis.map_weight(
+        make_partial_map([(0, 0)])
+    ) < 1
+    assert analysis.weight(constructions.binary_family(3).family) == 1
+    assert analysis.weight(constructions.unary_upper_even(4).family) > 1
+    assert analysis.parity_identity(ODD_HEAVY, (0,)).lhs < 0

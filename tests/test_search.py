@@ -5,7 +5,6 @@ import pytest
 
 from dpcover import analysis, constructions, search
 from dpcover.core import Family, classify, make_partial_map, relabel_family
-from dpcover.dyadic import ONE
 from dpcover.errors import SearchSpaceTooLargeError, UniverseTooLargeError
 
 from oracles import random_family, slow_colorable, slow_completion_dfs
@@ -180,7 +179,7 @@ class TestSearchMinUnary:
         assert profile.is_unary
         assert profile.uniformity == 2
         assert not slow_colorable(witness)
-        assert analysis.weight(witness) >= ONE
+        assert analysis.weight(witness) >= 1
         assert report.result is witness
 
     def test_matches_brute_force_on_four_vertices(self):
