@@ -20,11 +20,12 @@ their results in chunk order, so reports are identical for any worker count.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, takewhile
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -91,9 +92,13 @@ class _Subcubes:
         self.masks = np.array(masks, dtype=np.uint64)
         self.patterns = np.array(patterns, dtype=np.uint64)
 
-    def counts(self, lo: int) -> np.ndarray:
-        """Multiplicity of each code in [lo, lo + 2^k): the one containment kernel."""
-        out = np.zeros(1 << self.k, dtype=self.dtype)
+    def counts(self, lo: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Multiplicity of each code in [lo, lo + 2^k): the one containment kernel.
+
+        Adds into `out`, 2^k zeroed cells of `dtype`, or into a new array.
+        """
+        if out is None:
+            out = np.zeros(1 << self.k, dtype=self.dtype)
         view = out.reshape((2,) * self.k)
         high = np.uint64(lo >> self.k)
         for j in np.flatnonzero((high & self.masks) == self.patterns).tolist():
@@ -458,7 +463,9 @@ class MultiplicityTable:
         self.ambient = amb
         self.n = n
         cubes = _Subcubes(family, amb, chunk_size)
-        self.counts = np.concatenate([cubes.counts(lo) for lo in cubes.starts])
+        self.counts = np.zeros(1 << n, dtype=cubes.dtype)
+        for lo in cubes.starts:
+            cubes.counts(lo, self.counts[lo : lo + (1 << cubes.k)])
 
     def multiplicity(self, bits: int) -> int:
         return int(self.counts[bits])
@@ -581,7 +588,14 @@ class WeightOneAudit:
 
 
 def weight_one_audit(family: Family, *, limit: int | None = None) -> WeightOneAudit:
-    """Audit the package of facts forced on non-colorable weight-1 families."""
+    """Audit the package of facts forced on non-colorable weight-1 families.
+
+    Every clause is evaluated, whatever the others find.  Clauses (b) and (c)
+    read one MultiplicityTable.  Clause (d) walks the subset sizes k = 1, 2,
+    ... in turn: at size k it costs sum over maps of C(|phi|, k) dict updates,
+    and it stops at the first size with an unbalanced S, reporting the first
+    such S in sorted order.
+    """
     n = len(family.universe)
     cap = _limit(limit, "DPCOVER_AUDIT_LIMIT", DEFAULT_AUDIT_LIMIT)
     if n > cap:
@@ -608,19 +622,29 @@ def weight_one_audit(family: Family, *, limit: int | None = None) -> WeightOneAu
             )
         )
 
-    subsets: set[tuple[VertexId, ...]] = set()
-    for m in family.maps:
-        d = m.domain
-        for k in range(1, len(d) + 1):
-            subsets.update(combinations(d, k))
-    for s in sorted(subsets, key=lambda t: (len(t), t)):
-        even, odd = sub_family(family, s)
-        w0, w1 = weight(even), weight(odd)
-        if w0 != w1:
+    # (d) by a scatter, one subset size k at a time: each map adds its weight
+    # 2^(e - |phi|) / 2^e to the even or odd side of every k-subset S of its
+    # domain, by the parity of its bits on S.
+    e = max(map(len, family.maps), default=0)
+    for k in range(1, e + 1):
+        sides: dict[tuple[VertexId, ...], list[int]] = {}
+        for m in family.maps:
+            if len(m) < k:
+                continue
+            step = 1 << (e - len(m))
+            bits = [b for _, b in m.entries]
+            for s, b in zip(combinations(m.domain, k), combinations(bits, k)):
+                pair = sides.get(s)
+                if pair is None:
+                    pair = sides[s] = [0, 0]
+                pair[sum(b) & 1] += step
+        unbalanced = next((s for s in sorted(sides) if sides[s][0] != sides[s][1]), None)
+        if unbalanced is not None:
+            w0, w1 = (Fraction(side, 1 << e) for side in sides[unbalanced])
             violations.append(
                 AuditViolation(
                     "parity-balance",
-                    f"S={list(s)}: even side weighs {w0}, odd side weighs {w1}",
+                    f"S={list(unbalanced)}: even side weighs {w0}, odd side weighs {w1}",
                 )
             )
             break  # deepest clause: report the first offending S only
@@ -634,12 +658,16 @@ def domination_orphans(family: Family) -> tuple[PartialMap, ...]:
     Non-colorable weight-1 families have none: every map's domain sits inside
     another member's domain.
     """
-    orphans = []
-    for m in family.maps:
-        d = set(m.domain)
-        if not any(other is not m and d <= set(other.domain) for other in family.maps):
-            orphans.append(m)
-    return tuple(orphans)
+    count = Counter(m.domain for m in family.maps)
+    sets = {d: frozenset(d) for d in count}
+    larger_first = sorted(sets.values(), key=len, reverse=True)
+    orphan = {
+        d
+        for d, s in sets.items()
+        if count[d] == 1  # no other map shares the domain
+        and not any(s < o for o in takewhile(lambda o: len(o) > len(s), larger_first))
+    }
+    return tuple(m for m in family.maps if m.domain in orphan)
 
 
 def complement_pair_parity_mismatches(family: Family) -> tuple[tuple[VertexId, ...], ...]:
@@ -683,21 +711,50 @@ def _is_constant(codes: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
 def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> ClaimResult:
     """Verify one claim descriptor against the family by direct computation.
 
-    Raises ValueError when the claim lacks a field its kind needs.
+    Raises ValueError when the claim lacks a field its kind needs, or when a
+    field has the wrong type.
     """
     kind = claim.get("kind", "")
     profile = classify(family)
     rank = _ranks(family.universe)
 
-    def ranks_of(vertices: Sequence[VertexId]) -> list[int] | None:
-        if any(v not in rank for v in vertices):
-            return None
-        return [rank[v] for v in vertices]
-
-    def field(name: str) -> Any:
+    def field(name: str, *types: type) -> Any:
+        """claim[name], which must be an instance of one of `types`; a bool
+        is not an int."""
         if name not in claim:
             raise ValueError(f"claim {kind!r} has no {name!r} field")
-        return claim[name]
+        value = claim[name]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            want = " or ".join(t.__name__ for t in types)
+            raise ValueError(
+                f"claim {kind!r} field {name!r} must be {want}, not {type(value).__name__}"
+            )
+        return value
+
+    def is_vertex_list(value: Any, size: int | None = None) -> bool:
+        return (
+            isinstance(value, (list, tuple))
+            and all(type(v) is int for v in value)
+            and size in (None, len(value))
+        )
+
+    def vertices(name: str, size: int | None = None) -> list[VertexId]:
+        value = field(name, list, tuple)
+        if not is_vertex_list(value, size):
+            ids = "integer vertex ids" if size is None else f"{size} integer vertex ids"
+            raise ValueError(f"claim {kind!r} field {name!r} must list {ids}")
+        return list(value)
+
+    def pairs(name: str) -> list[list[VertexId]]:
+        value = field(name, list, tuple)
+        if not all(is_vertex_list(p, 2) for p in value):
+            raise ValueError(f"claim {kind!r} field {name!r} must list pairs of integer vertex ids")
+        return [list(p) for p in value]
+
+    def ranks_of(vs: Sequence[VertexId]) -> list[int] | None:
+        if any(v not in rank for v in vs):
+            return None
+        return [rank[v] for v in vs]
 
     def fail(msg: str) -> ClaimResult:
         return ClaimResult(kind, False, msg)
@@ -706,14 +763,14 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         return ClaimResult(kind, True, msg)
 
     if kind == "map-count":
-        want = field("value")
+        want = field("value", int)
         return ok() if len(family) == want else fail(f"{len(family)} maps, expected {want}")
     if kind == "universe-size":
-        want = field("value")
+        want = field("value", int)
         got = len(family.universe)
         return ok() if got == want else fail(f"{got} vertices, expected {want}")
     if kind == "uniform":
-        want = field("r")
+        want = field("r", int)
         if profile.uniformity == want:
             return ok()
         return fail(f"uniformity {profile.uniformity}, expected {want}")
@@ -725,27 +782,26 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         if profile.cover_of is None:
             reason, edge = profile.cover_violation  # type: ignore[misc]
             return fail(f"{reason} at {list(edge)}")
-        edges = claim.get("edges")
+        edges = field("edges", int) if "edges" in claim else None
         if edges is not None and len(profile.cover_of) != edges:
             return fail(f"{len(profile.cover_of)} edges, expected {edges}")
         return ok()
     if kind == "weight":
-        got, want = str(weight(family)), field("value")
+        got, want = str(weight(family)), field("value", str)
         return ok() if got == want else fail(f"weight {got}, expected {want}")
     if kind == "transversal-domains":
-        pairs = [tuple(p) for p in field("pairs")]
-        want = {tuple(sorted(choice)) for choice in product(*pairs)}
+        want = {tuple(sorted(choice)) for choice in product(*pairs("pairs"))}
         got = {m.domain for m in family.maps}
         return ok() if got == want else fail("domains differ from the pair transversals")
     if kind == "sampled-no-coloring":
-        rep = sample_noncolorability(family, field("trials"), field("seed"))
+        rep = sample_noncolorability(family, field("trials", int), field("seed", int))
         if rep.counterexamples:
             return fail(f"{rep.counterexamples} avoiding colorings in {rep.trials} trials")
         return ok()
     if kind == "multiplicity-histogram":
         table = MultiplicityTable(family, limit=limit)
         got = {str(k): v for k, v in table.histogram().items()}
-        want = dict(field("histogram"))
+        want = field("histogram", dict)
         return ok() if got == want else fail(f"histogram {got}, expected {want}")
 
     # The remaining kinds quantify over the family's avoiding colorings.
@@ -757,10 +813,10 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
     if kind == "colorable":
         return ok() if codes.size else fail("no coloring avoids every map")
     if kind == "coloring-count":
-        want = field("value")
+        want = field("value", int)
         return ok() if codes.size == want else fail(f"{codes.size} colorings, expected {want}")
     if kind == "forces-equal":
-        rs = ranks_of(field("vertices"))
+        rs = ranks_of(vertices("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(~_is_constant(codes, rs))
@@ -768,7 +824,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} is not constant there")
         return ok()
     if kind == "forces-distinct":
-        rs = ranks_of(field("vertices"))
+        rs = ranks_of(vertices("vertices", 2))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         a, b = rs
@@ -777,7 +833,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} agrees on the pair")
         return ok()
     if kind == "pair-disagreement":
-        for pair in field("pairs"):
+        for pair in pairs("pairs"):
             rs = ranks_of(pair)
             if rs is None:
                 return fail("claim mentions a vertex outside the universe")
@@ -787,7 +843,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
                 return fail(f"coloring {int(codes[bad[0]])} agrees on pair {list(pair)}")
         return ok()
     if kind == "odd-ones":
-        rs = ranks_of(field("vertices"))
+        rs = ranks_of(vertices("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         parity = np.zeros(codes.shape, dtype=np.int64)
@@ -798,7 +854,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} has an even number of ones there")
         return ok()
     if kind == "constant-implies-constant":
-        src, dst = ranks_of(field("src")), ranks_of(field("dst"))
+        src, dst = ranks_of(vertices("src")), ranks_of(vertices("dst"))
         if src is None or dst is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(_is_constant(codes, src) & ~_is_constant(codes, dst))
@@ -806,7 +862,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} is constant on src, not on dst")
         return ok()
     if kind == "never-both-constant":
-        left, right = ranks_of(field("left")), ranks_of(field("right"))
+        left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
         if left is None or right is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(_is_constant(codes, left) & _is_constant(codes, right))
@@ -814,7 +870,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"coloring {int(codes[bad[0]])} is constant on both sides")
         return ok()
     if kind == "constant-side":
-        left, right = ranks_of(field("left")), ranks_of(field("right"))
+        left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
         if left is None or right is None:
             return fail("claim mentions a vertex outside the universe")
         bad = np.flatnonzero(~(_is_constant(codes, left) | _is_constant(codes, right)))

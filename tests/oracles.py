@@ -67,6 +67,40 @@ def slow_parity_rhs(family: Family, subset, ambient) -> Fraction:
     return total / Fraction(2 ** len(universe))
 
 
+def slow_first_imbalance(family: Family) -> tuple[tuple, Fraction, Fraction] | None:
+    """The first S, in (len, S) order over every nonempty subset of every
+    domain, whose even and odd sides weigh differently: (S, even weight, odd
+    weight), or None.  A map lies on a side of S when its domain holds S; the
+    side is the parity of its bits there."""
+    subsets = {
+        s
+        for phi in family.maps
+        for k in range(1, len(phi) + 1)
+        for s in combinations(phi.domain, k)
+    }
+    for s in sorted(subsets, key=lambda t: (len(t), t)):
+        sides = ([], [])
+        for phi in family.maps:
+            d = dict(phi.entries)
+            if all(v in d for v in s):
+                sides[sum(d[v] for v in s) % 2].append(phi)
+        even, odd = (slow_weight(Family.of(side)) for side in sides)
+        if even != odd:
+            return s, even, odd
+    return None
+
+
+def slow_domination_orphans(family: Family) -> tuple[PartialMap, ...]:
+    """Maps whose domain lies inside no other map's domain, in family order."""
+    return tuple(
+        phi
+        for phi in family.maps
+        if not any(
+            other != phi and set(phi.domain) <= set(other.domain) for other in family.maps
+        )
+    )
+
+
 def slow_sample(family: Family, trials: int, seed: int) -> tuple[int, dict | None]:
     """(counterexample count, first counterexample as a dict) over the sampler's
     stream: PCG64(seed) bytes drawn in blocks of at most 2 MiB of whole trials,

@@ -15,6 +15,8 @@ from oracles import (
     random_family,
     slow_colorable,
     slow_colorings,
+    slow_domination_orphans,
+    slow_first_imbalance,
     slow_multiplicities,
     slow_parity_rhs,
     slow_sample,
@@ -477,6 +479,49 @@ class TestWeightOneAudit:
         assert parity and "S=" in parity[0].detail
         assert audit.verdict == "violated:weight-is-one"
 
+    def test_parity_clause_matches_slow_oracle(self, rng):
+        for _ in range(600):
+            family = random_family(
+                rng,
+                max_vertices=rng.randint(1, 7),
+                max_maps=rng.randint(1, 10),
+                min_map_size=rng.randint(0, 1),
+                allow_empty=True,
+            )
+            audit = analysis.weight_one_audit(family)
+            found = [v for v in audit.violations if v.clause == "parity-balance"]
+            first = slow_first_imbalance(family)
+            if first is None:
+                assert found == [], family
+            else:
+                s, w0, w1 = first
+                detail = f"S={list(s)}: even side weighs {w0}, odd side weighs {w1}"
+                assert found == [analysis.AuditViolation("parity-balance", detail)], family
+
+    def test_parity_clause_finds_an_imbalance_at_two_vertices(self):
+        audit = analysis.weight_one_audit(fam([(0, 0), (1, 0)], [(0, 1), (1, 1)]))
+        assert audit.violations[-1] == analysis.AuditViolation(
+            "parity-balance", "S=[0, 1]: even side weighs 1/2, odd side weighs 0"
+        )
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_parity_clause_finds_a_planted_deep_imbalance(self, depth):
+        # The even-parity maps on `depth` vertices split evenly on every
+        # smaller S and all lie on the even side of the whole block.  Next to
+        # a weight-one family, which balances on every S, that block's
+        # vertices are the first unbalanced S.
+        block = [10, 12, 15, 19][:depth]
+        planted = [
+            make_partial_map(zip(block, bits))
+            for bits in itertools.product((0, 1), repeat=depth)
+            if sum(bits) % 2 == 0
+        ]
+        family = Family.of(constructions.binary_family(2).family.maps + tuple(planted))
+        assert slow_first_imbalance(family) == (tuple(block), Fraction(1, 2), Fraction(0))
+        parity = analysis.weight_one_audit(family).violations[-1]
+        assert parity.clause == "parity-balance"
+        assert parity.detail == f"S={block}: even side weighs 1/2, odd side weighs 0"
+
     def test_limit_guard(self, monkeypatch):
         family = constructions.binary_family(3).family
         with pytest.raises(UniverseTooLargeError):
@@ -511,6 +556,18 @@ class TestDomination:
         family = fam([(0, 0)], [(0, 1), (1, 0)])
         orphans = analysis.domination_orphans(family)
         assert orphans == (make_partial_map([(0, 1), (1, 0)]),)
+
+
+    def test_matches_slow_oracle_on_random_families(self, rng):
+        for _ in range(300):
+            family = random_family(
+                rng,
+                max_vertices=rng.randint(1, 6),
+                max_maps=rng.randint(1, 10),
+                min_map_size=rng.randint(0, 1),
+                allow_empty=True,
+            )
+            assert analysis.domination_orphans(family) == slow_domination_orphans(family)
 
 
 class TestComplementPairParity:
@@ -621,6 +678,27 @@ class TestClaimChecking:
         result = analysis.check_claim(family, {"kind": "forces-distinct", "vertices": [3, 99]})
         assert not result.ok
         assert "outside the universe" in result.message
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            {"kind": "map-count", "value": "8"},
+            {"kind": "map-count", "value": True},
+            {"kind": "weight", "value": 1},
+            {"kind": "valid-cover", "edges": "4"},
+            {"kind": "sampled-no-coloring", "trials": "x", "seed": 1},
+            {"kind": "multiplicity-histogram", "histogram": [["1", 16]]},
+            {"kind": "forces-equal", "vertices": 5},
+            {"kind": "forces-equal", "vertices": [0, "1"]},
+            {"kind": "forces-distinct", "vertices": [0, 1, 2]},
+            {"kind": "pair-disagreement", "pairs": [[0, 1, 2]]},
+            {"kind": "transversal-domains", "pairs": [0, 1]},
+        ],
+    )
+    def test_field_of_the_wrong_type_raises_value_error(self, claim):
+        family = constructions.k43_cover().family
+        with pytest.raises(ValueError, match=repr(claim["kind"])):
+            analysis.check_claim(family, claim)
 
     def test_unknown_kind_fails(self):
         result = analysis.check_claim(Family.of([]), {"kind": "mystery"})

@@ -231,6 +231,14 @@ class TestVerifyCommand:
         )
         assert "'map-count'" in err and "'value'" in err
 
+    def test_claim_field_of_the_wrong_type_exits_one(self, tmp_path, capsys):
+        for claim, name in (
+            ({"kind": "sampled-no-coloring", "trials": "x", "seed": 1}, "'trials'"),
+            ({"kind": "forces-equal", "vertices": 5}, "'vertices'"),
+        ):
+            err = self.verify_malformed(tmp_path, capsys, claimed_properties=[claim])
+            assert name in err and "Traceback" not in err
+
     def test_map_of_bare_integers_exits_one(self, tmp_path, capsys):
         err = self.verify_malformed(tmp_path, capsys, maps=[[0, 1]])
         assert "maps[0]" in err
