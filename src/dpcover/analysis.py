@@ -22,9 +22,10 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, combinations, product, takewhile
 from typing import Any, Iterable, Sequence
 
@@ -365,6 +366,13 @@ class _MapIndex:
         return found
 
 
+def _stream_bytes(rng: np.random.Generator, length: int) -> np.ndarray:
+    """rng.bytes(length) as a uint8 array, without its copies: the same
+    uint32 draws read little-endian, so the generator's later draws match too."""
+    words = rng.integers(0, 1 << 32, size=-(-length // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:length]
+
+
 def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleReport:
     """Try `trials` seeded random colorings; count those avoiding every map.
 
@@ -390,7 +398,7 @@ def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleRepo
         while done < trials and filled < len(rows):
             batch = min(block_trials, trials - done)
             if nbytes:
-                block = np.frombuffer(rng.bytes(batch * nbytes), dtype=np.uint8)
+                block = _stream_bytes(rng, batch * nbytes)
                 rows[filled : filled + batch] = block.reshape(batch, nbytes)
             filled += batch
             done += batch
@@ -708,6 +716,25 @@ def _is_constant(codes: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
     return (cols == cols[0]).all(axis=0)
 
 
+class _ClaimScope:
+    """What the claims on one family share, each part computed on first use."""
+
+    def __init__(self, family: Family, limit: int | None):
+        self.family, self.limit = family, limit
+
+    @cached_property
+    def rank(self) -> dict[VertexId, int]:
+        return _ranks(self.family.universe)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return avoiding_codes(self.family, limit=self.limit)
+
+
+# Set by check_claims around its check_claim calls, so that they share one scope.
+_SCOPE: ContextVar[_ClaimScope | None] = ContextVar("_SCOPE", default=None)
+
+
 def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> ClaimResult:
     """Verify one claim descriptor against the family by direct computation.
 
@@ -715,8 +742,10 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
     field has the wrong type.
     """
     kind = claim.get("kind", "")
+    scope = _SCOPE.get()
+    if scope is None or scope.family is not family or scope.limit != limit:
+        scope = _ClaimScope(family, limit)
     profile = classify(family)
-    rank = _ranks(family.universe)
 
     def field(name: str, *types: type) -> Any:
         """claim[name], which must be an instance of one of `types`; a bool
@@ -752,6 +781,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         return [list(p) for p in value]
 
     def ranks_of(vs: Sequence[VertexId]) -> list[int] | None:
+        rank = scope.rank
         if any(v not in rank for v in vs):
             return None
         return [rank[v] for v in vs]
@@ -805,7 +835,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         return ok() if got == want else fail(f"histogram {got}, expected {want}")
 
     # The remaining kinds quantify over the family's avoiding colorings.
-    codes = avoiding_codes(family, limit=limit)
+    codes = scope.codes
     if kind == "no-coloring":
         if codes.size:
             return fail(f"coloring {int(codes[0])} avoids every map")
@@ -884,4 +914,10 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
 def check_claims(
     family: Family, claims: Sequence[dict], *, limit: int | None = None
 ) -> tuple[ClaimResult, ...]:
-    return tuple(check_claim(family, c, limit=limit) for c in claims)
+    """check_claim on each claim in order; the avoiding codes are enumerated
+    at most once for all of them."""
+    token = _SCOPE.set(_ClaimScope(family, limit))
+    try:
+        return tuple(check_claim(family, c, limit=limit) for c in claims)
+    finally:
+        _SCOPE.reset(token)

@@ -10,31 +10,75 @@ it, so the formula is satisfiable iff the family admits an avoiding coloring.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import IO, Sequence
 
 from . import analysis, constructions, search
 from .constructions import GadgetOutput
-from .core import Family, make_partial_map
+from .core import Family, PartialMap, make_partial_map
 from .errors import DpcoverError, EmptyMapPresentError
 
 FORMAT_VERSION = "1"
 
 
 def serialize(obj: GadgetOutput | Family) -> str:
-    """Deterministic JSON text for a gadget output or a bare family."""
+    """Deterministic JSON text for a gadget output or a bare family.
+
+    The text is json.dumps(doc, indent=2) + "\n" byte for byte.  That encoder
+    is pure Python whenever it indents, so each top-level value is rendered on
+    its own and nested one level by indenting its lines; `maps` of integer
+    entries, nearly all of a large document, comes from a fixed per-entry
+    template instead.
+    """
     if isinstance(obj, Family):
         obj = GadgetOutput(obj, {}, "user:family")
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "source": obj.source,
-        "labels": {name: obj.labels[name] for name in sorted(obj.labels)},
-        "maps": [[[v, b] for v, b in m.entries] for m in obj.family.maps],
-        "claimed_properties": obj.claimed_properties,
-        "notes": {k: obj.notes[k] for k in sorted(obj.notes)},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    maps = obj.family.maps
+    if all(type(v) is int and type(b) is int for m in maps for v, b in m.entries):
+        maps_text = _maps_text(maps)
+    else:
+        maps_text = _indented([[[v, b] for v, b in m.entries] for m in maps])
+    fields = [
+        ("format_version", _indented(FORMAT_VERSION)),
+        ("source", _indented(obj.source)),
+        ("labels", _indented({name: obj.labels[name] for name in sorted(obj.labels)})),
+        ("maps", maps_text),
+        ("claimed_properties", _indented(obj.claimed_properties)),
+        ("notes", _indented({k: obj.notes[k] for k in sorted(obj.notes)})),
+    ]
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
+
+
+def _indented(value: object) -> str:
+    """json.dumps(value, indent=2) as the value of a top-level key: one level
+    deeper.  JSON text has a line break only between tokens, never in a string."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+# One [vertex, bit] entry of a map, as the indent=2 encoder lays it out at
+# the depth of an entry inside `maps`; the first entry opens its map.
+_ENTRY = "\n      [\n        %d,\n        %d\n      ]"
+_FIRST_ENTRY, _NEXT_ENTRY = "[" + _ENTRY, "," + _ENTRY
+
+
+def _maps_text(maps: tuple[PartialMap, ...]) -> str:
+    """_indented of the maps as lists of [vertex, bit] lists, whose entries
+    are all ints.  One short piece per entry: the text of a whole map would be
+    long enough to leave holes in the C heap, raising peak memory."""
+    if not maps:
+        return "[]"
+    pieces = []
+    for m in maps:
+        if m.entries:
+            pieces.append(_FIRST_ENTRY % m.entries[0])
+            pieces += [_NEXT_ENTRY % e for e in m.entries[1:]]
+            pieces.append("\n    ]")
+        else:
+            pieces.append("[]")
+        pieces.append(",\n    ")
+    pieces[-1] = "\n  ]"
+    return "[\n    " + "".join(pieces)
 
 
 def parse(text: str) -> GadgetOutput:
@@ -304,7 +348,9 @@ def _cmd_bracket(args: argparse.Namespace, out: IO[str]) -> int:
     return 0 if report.consistent else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="dpcover",
         description="Construct, verify, and certify families of forbidden"

@@ -143,6 +143,12 @@ class Family:
         """Sorted vertices of the maps; computed once per family."""
         return tuple(sorted({v for m in self.maps for v, _ in m.entries}))
 
+    @cached_property
+    def profile(self) -> "FamilyProfile":
+        """classify(self): the profile against the family's own domain
+        hypergraph; computed once per family."""
+        return _profile(self, domain_hypergraph(self))
+
 
 def domain_hypergraph(family: Family) -> Hypergraph:
     """The hypergraph whose edges are the domains of the family's maps."""
@@ -216,9 +222,14 @@ def classify(family: Family, candidate: Hypergraph | None = None) -> FamilyProfi
     """Compute uniformity, unary/binary flags, and cover validity.
 
     The cover check runs against `candidate` when given, else against the
-    family's own domain hypergraph.  A unary family is always a valid cover of
-    its domain hypergraph.
+    family's own domain hypergraph; that profile is `family.profile`, computed
+    once per family.  A unary family is always a valid cover of its domain
+    hypergraph.
     """
+    return family.profile if candidate is None else _profile(family, candidate)
+
+
+def _profile(family: Family, target: Hypergraph) -> FamilyProfile:
     sizes = {len(m) for m in family.maps}
     uniformity = sizes.pop() if len(sizes) == 1 else None
 
@@ -229,7 +240,6 @@ def classify(family: Family, candidate: Hypergraph | None = None) -> FamilyProfi
     is_unary = all(c == 1 for c in counts.values())
     is_binary = all(c <= 2 for c in counts.values())
 
-    target = candidate if candidate is not None else domain_hypergraph(family)
     edge_set = set(target.edges)
     violation: tuple[str, tuple[VertexId, ...]] | None = None
     for domain in sorted(by_domain, key=lambda d: (len(d), d)):

@@ -6,12 +6,14 @@ implementation would have to be duplicated by hand to go unnoticed.
 """
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
+from dpcover.constructions import GadgetOutput
 from dpcover.core import Family, PartialMap, make_partial_map
 
 
@@ -121,6 +123,22 @@ def slow_sample(family: Family, trials: int, seed: int) -> tuple[int, dict | Non
                 if first is None:
                     first = f
     return count, first
+
+
+def slow_serialize(obj: GadgetOutput | Family) -> str:
+    """The family document through the plain indent=2 encoder, in its fixed
+    field order: the reference for cli.serialize's bytes."""
+    if isinstance(obj, Family):
+        obj = GadgetOutput(obj, {}, "user:family")
+    doc = {
+        "format_version": "1",
+        "source": obj.source,
+        "labels": {name: obj.labels[name] for name in sorted(obj.labels)},
+        "maps": [[[v, b] for v, b in m.entries] for m in obj.family.maps],
+        "claimed_properties": obj.claimed_properties,
+        "notes": {k: obj.notes[k] for k in sorted(obj.notes)},
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def cnf_satisfiable(text: str) -> bool:

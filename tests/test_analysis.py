@@ -148,6 +148,37 @@ class TestSampling:
                 got = report.first_counterexample
                 assert (got.as_dict() if got is not None else None) == first
 
+    def test_three_byte_trials_match_slow_sampler(self, rng):
+        for n in (17, 20, 23, 24):
+            cover = [(v, rng.randint(0, 1)) for v in range(n)]  # pins the universe to n
+            maps = set(random_family(rng, max_vertices=n, max_maps=12, min_map_size=2).maps)
+            family = Family.of(maps | {make_partial_map(cover)})
+            assert len(family.universe) == n
+            for trials, seed in ((1, 4), (5, 2), (700, 5)):
+                report = analysis.sample_noncolorability(family, trials, seed)
+                count, first = slow_sample(family, trials, seed)
+                assert report.counterexamples == count
+                got = report.first_counterexample
+                assert (got.as_dict() if got is not None else None) == first
+
+    def test_stream_is_the_generators_bytes(self):
+        ours = np.random.Generator(np.random.PCG64(77))
+        theirs = np.random.Generator(np.random.PCG64(77))
+        for length in (1, 13, 3, 1 << 21, 4, 7):
+            assert analysis._stream_bytes(ours, length).tobytes() == theirs.bytes(length)
+        assert ours.integers(0, 1 << 62) == theirs.integers(0, 1 << 62)
+
+    def test_several_blocks_in_one_call_match_generator_bytes(self, monkeypatch):
+        # 2125 bytes a trial, so a 2 MiB block holds 986 trials and 2500 trials
+        # take three blocks; about 3/8 of the trials avoid every map.
+        wide = fam([(0, 0), (1, 0)], [(2, 1)], [(v, 0) for v in range(3, 17000)])
+        report = analysis.sample_noncolorability(wide, 2500, seed=9)
+        assert 800 < report.counterexamples < 1100
+        monkeypatch.setattr(
+            analysis, "_stream_bytes", lambda rng, n: np.frombuffer(rng.bytes(n), dtype=np.uint8)
+        )
+        assert analysis.sample_noncolorability(wide, 2500, seed=9) == report
+
     def test_large_binary_family_samples_clean(self):
         family = constructions.binary_family(16).family
         report = analysis.sample_noncolorability(family, 1000, seed=0x5EED)
@@ -704,6 +735,73 @@ class TestClaimChecking:
         result = analysis.check_claim(Family.of([]), {"kind": "mystery"})
         assert not result.ok
         assert "unknown claim kind" in result.message
+
+    def test_check_claims_matches_check_claim_on_every_gadget(self):
+        gadgets = [
+            constructions.k43_cover(),
+            constructions.k54_neq_cover(),
+            constructions.k54_eq_cover(),
+            constructions.four_uniform_10(),
+            constructions.nine_edge_gadget(),
+            constructions.copy_gadget((0, 1, 2), (3, 4, 5)),
+            constructions.two_edge_gadget(),
+            constructions.five_uniform_17(),
+            constructions.binary_family(3),
+            constructions.parity_gadget(4),
+            constructions.unary_upper_even(4),
+            constructions.double_unary_gadget(5),
+            constructions.lift_to_cover(constructions.unary_upper_even(2).family),
+        ]
+        for gadget in gadgets:
+            family = gadget.family
+            a, b = family.universe[:2]
+            failing = [
+                {"kind": "map-count", "value": len(family) + 1},
+                {"kind": "colorable"},
+                {"kind": "no-coloring"},
+                {"kind": "coloring-count", "value": -1},
+                {"kind": "forces-equal", "vertices": [a, b]},
+                {"kind": "forces-distinct", "vertices": [a, b]},
+                {"kind": "odd-ones", "vertices": [a]},
+                {"kind": "never-both-constant", "left": [a], "right": [b]},
+                {"kind": "forces-equal", "vertices": [a, -1]},
+                {"kind": "mystery"},
+            ]
+            claims = gadget.claimed_properties + failing
+            assert gadget.claimed_properties, gadget.source
+            expected = tuple(analysis.check_claim(family, c) for c in claims)
+            assert analysis.check_claims(family, claims) == expected
+            assert not all(r.ok for r in expected[len(gadget.claimed_properties):])
+
+    def test_check_claims_enumerates_codes_at_most_once(self, monkeypatch):
+        calls = []
+        avoiding_codes = analysis.avoiding_codes
+
+        def counting(family, **kwargs):
+            calls.append(family)
+            return avoiding_codes(family, **kwargs)
+
+        monkeypatch.setattr(analysis, "avoiding_codes", counting)
+        gadget = constructions.parity_gadget(4)
+        claims = gadget.claimed_properties + [{"kind": "coloring-count", "value": 8}]
+        assert all(r.ok for r in analysis.check_claims(gadget.family, claims))
+        assert calls == [gadget.family]
+        analysis.check_claims(gadget.family, [{"kind": "map-count", "value": 1}])
+        assert len(calls) == 1
+        analysis.check_claims(gadget.family, claims)
+        assert len(calls) == 2
+
+    def test_check_claim_ignores_the_scope_of_another_call(self):
+        colorable = constructions.parity_gadget(2).family
+        other = analysis._ClaimScope(constructions.binary_family(2).family, None)
+        token = analysis._SCOPE.set(other)
+        try:
+            assert analysis.check_claim(colorable, {"kind": "colorable"}).ok
+            other.family = colorable
+            with pytest.raises(UniverseTooLargeError):
+                analysis.check_claim(colorable, {"kind": "colorable"}, limit=2)
+        finally:
+            analysis._SCOPE.reset(token)
 
     def test_check_claims_order_preserved(self):
         family = constructions.k43_cover().family

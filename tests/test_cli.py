@@ -7,10 +7,11 @@ import pytest
 
 from dpcover import analysis, cli, constructions
 from dpcover.cli import cli_main, export_cnf, parse, serialize
+from dpcover.constructions import GadgetOutput
 from dpcover.core import Family, make_partial_map
 from dpcover.errors import DuplicateMapError, EmptyMapPresentError
 
-from oracles import cnf_satisfiable
+from oracles import cnf_satisfiable, random_family, slow_serialize
 
 
 def fam(*entry_lists):
@@ -51,6 +52,47 @@ class TestSerialization:
         assert doc.family == family
         assert doc.source == "user:family"
         assert doc.labels == {} and doc.notes == {}
+
+    def test_bytes_match_the_plain_encoder(self, rng):
+        docs = registry_gadgets() + [
+            constructions.binary_family(6),
+            constructions.parity_gadget(4),
+            constructions.double_unary_gadget(5),
+        ]
+        docs += [random_family(rng, min_map_size=0, allow_empty=True) for _ in range(200)]
+        for doc in docs:
+            assert serialize(doc) == slow_serialize(doc)
+
+    def test_bytes_match_the_plain_encoder_on_edge_cases(self):
+        odd = 'quote " backslash \\ newline \n tab \t nul \u0000 non-ASCII \u00e9\u2200\U0001f600'
+        docs = [
+            Family.of([]),
+            fam([]),
+            fam([], [(0, 1)], [(0, 0), (3, 1)]),
+            fam([(2**64, 1)], [(0, 0), (2**64 + 1, 0), (3**90, 1)]),
+            GadgetOutput(fam([], [(7, 0)]), {odd: 7, "\u0000": 0}, odd),
+            GadgetOutput(
+                Family.of([]),
+                {},
+                odd,
+                [{"kind": odd, odd: [odd, {"n": None}], "value": 2**70}, {"kind": "unary"}],
+                {odd: odd, "": ""},
+            ),
+        ]
+        for doc in docs:
+            text = serialize(doc)
+            assert text == slow_serialize(doc)
+            if isinstance(doc, Family):
+                doc = GadgetOutput(doc, {}, "user:family")
+            back = parse(text)
+            assert (back.family, back.labels, back.source) == (doc.family, doc.labels, doc.source)
+            assert (back.claimed_properties, back.notes) == (doc.claimed_properties, doc.notes)
+            assert serialize(back) == text
+
+    def test_non_integer_entries_keep_the_plain_encoder_bytes(self):
+        # PartialMap accepts a bool bit (True == 1); the encoder writes it as true.
+        doc = Family.of([make_partial_map([(0, True), (1, 0)])])
+        assert serialize(doc) == slow_serialize(doc)
 
     def test_field_order_is_fixed(self):
         text = serialize(constructions.two_edge_gadget())
@@ -161,6 +203,13 @@ class TestConstructCommand:
         with pytest.raises(SystemExit) as info:
             cli_main(["no-such-command"])
         assert info.value.code == 2
+
+    def test_repeated_usage_error_reaches_the_current_stderr(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                cli_main(["construct", "binary"])
+            assert info.value.code == 2
+            assert "gadget binary requires --r" in capsys.readouterr().err
 
     def test_content_errors_exit_one(self, capsys):
         assert cli_main(["construct", "lifted-cover", "--r", "2"]) == 1
@@ -288,6 +337,25 @@ class TestColorCommand:
         out = capsys.readouterr().out
         assert "counterexamples=" in out
         assert "first-counterexample: " in out
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, constructions.parity_gadget(3))
+        workers = []
+        find_coloring = analysis.find_coloring
+
+        def recording(family, **kwargs):
+            workers.append(kwargs["workers"])
+            return find_coloring(family, **kwargs)
+
+        monkeypatch.setattr(analysis, "find_coloring", recording)
+        outputs = []
+        for argv in (["--workers", "2", "color", path, "--count"], ["color", path]):
+            assert cli_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert workers == [2, 1]
+        assert outputs[0] == "colorings: 4 of 64\n"
+        assert outputs[1].startswith("colorable: witness=")
+        assert cli._build_parser() is cli._build_parser()
 
     def test_identical_output_across_runs_and_workers(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.unary_upper_even(4))

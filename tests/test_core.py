@@ -81,6 +81,13 @@ class TestFamily:
         assert fam == Family.of([pm((4, 1)), pm((0, 0), (2, 1))])
         assert repr(fam) == f"Family(maps={fam.maps!r})"
 
+    def test_profile_is_computed_once_and_stays_out_of_equality(self):
+        fam = Family.of([pm((4, 1)), pm((0, 0), (2, 1))])
+        assert fam.profile is fam.profile
+        assert classify(fam) is fam.profile
+        assert fam == Family.of([pm((4, 1)), pm((0, 0), (2, 1))])
+        assert repr(fam) == f"Family(maps={fam.maps!r})"
+
     def test_domain_hypergraph_collapses_shared_domains(self):
         fam = Family.of([pm((0, 0), (1, 0)), pm((0, 1), (1, 1))])
         assert domain_hypergraph(fam).edges == ((0, 1),)
@@ -162,6 +169,18 @@ class TestClassify:
         target = Hypergraph.of([(0, 2)])
         profile = classify(fam, target)
         assert profile.cover_violation == ("domain-not-in-hypergraph", (0, 1))
+
+    def test_candidate_never_reads_the_cache(self):
+        fam = Family.of([pm((0, 0), (1, 0)), pm((1, 1), (2, 0))])
+        target = Hypergraph.of([(0, 1), (1, 2), (2, 3)])
+        expected = classify(Family.of(fam.maps), target)
+        assert expected.cover_of == target
+        assert classify(fam, target) == expected
+        assert "profile" not in vars(fam)
+        planted = classify(Family.of([pm((5, 0))]))
+        vars(fam)["profile"] = planted
+        assert classify(fam) is planted
+        assert classify(fam, target) == expected
 
     def test_mixed_sizes_have_no_uniformity(self):
         fam = Family.of([pm((0, 0)), pm((1, 0), (2, 0))])
