@@ -13,19 +13,15 @@ denominators are powers of two.
 
 Enumeration thresholds are defaults, overridable per call or via environment
 variables (DPCOVER_ENUM_LIMIT, DPCOVER_PARITY_LIMIT, DPCOVER_AUDIT_LIMIT).
-
-Parallel mode hands the fixed contiguous chunks to worker processes and merges
-their results in chunk order, so reports are identical for any worker count.
 """
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations, product, takewhile
 from typing import Any, Iterable, Sequence
 
@@ -107,12 +103,6 @@ class _Subcubes:
         return out
 
 
-def _chunk_avoiders(cubes: _Subcubes, lo: int) -> tuple[int | None, int]:
-    """(first avoiding code or None, avoider count) in the chunk starting at lo."""
-    free = np.flatnonzero(cubes.counts(lo) == 0)
-    return (lo + int(free[0]) if free.size else None), int(free.size)
-
-
 def _checked_witness(family: Family, universe: tuple[VertexId, ...], code: int) -> Coloring:
     witness = Coloring(universe, code)
     if not colors(witness, family):
@@ -145,8 +135,9 @@ def find_coloring(
 ) -> ColorabilityReport:
     """Exhaustively search for a coloring avoiding every map of the family.
 
-    The witness is the smallest coloring code regardless of worker count or
-    scheduling.  Raises UniverseTooLargeError above the enumeration limit.
+    The witness is the smallest coloring code.  The scan runs in the calling
+    process; `workers` is accepted and has no effect.  Raises
+    UniverseTooLargeError above the enumeration limit.
     """
     universe = family.universe
     n = len(universe)
@@ -157,18 +148,13 @@ def find_coloring(
     total = 1 << n
     first: int | None = None
     avoiders = 0
-    pool = ProcessPoolExecutor(workers) if workers > 1 and len(cubes.starts) > 1 else None
-    try:
-        scans = (pool.map if pool else map)(partial(_chunk_avoiders, cubes), cubes.starts)
-        for chunk_first, chunk_count in scans:
-            avoiders += chunk_count
-            if first is None and chunk_first is not None:
-                first = chunk_first
-                if not count:
-                    break
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for lo in cubes.starts:
+        free = np.flatnonzero(cubes.counts(lo) == 0)
+        avoiders += free.size
+        if first is None and free.size:
+            first = lo + int(free[0])
+            if not count:
+                break
 
     if first is None:
         return ColorabilityReport(False, None, (0 if count else None), total)

@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 from . import analysis, constructions, search
 from .constructions import GadgetOutput
-from .core import Family, PartialMap, make_partial_map
+from .core import Coloring, Family, PartialMap, make_partial_map
 from .errors import DpcoverError, EmptyMapPresentError
 
 FORMAT_VERSION = "1"
@@ -28,22 +28,16 @@ def serialize(obj: GadgetOutput | Family) -> str:
 
     The text is json.dumps(doc, indent=2) + "\n" byte for byte.  That encoder
     is pure Python whenever it indents, so each top-level value is rendered on
-    its own and nested one level by indenting its lines; `maps` of integer
-    entries, nearly all of a large document, comes from a fixed per-entry
-    template instead.
+    its own and nested one level by indenting its lines; `maps`, nearly all
+    of a large document, comes from a fixed per-entry template instead.
     """
     if isinstance(obj, Family):
         obj = GadgetOutput(obj, {}, "user:family")
-    maps = obj.family.maps
-    if all(type(v) is int and type(b) is int for m in maps for v, b in m.entries):
-        maps_text = _maps_text(maps)
-    else:
-        maps_text = _indented([[[v, b] for v, b in m.entries] for m in maps])
     fields = [
         ("format_version", _indented(FORMAT_VERSION)),
         ("source", _indented(obj.source)),
         ("labels", _indented({name: obj.labels[name] for name in sorted(obj.labels)})),
-        ("maps", maps_text),
+        ("maps", _maps_text(obj.family.maps)),
         ("claimed_properties", _indented(obj.claimed_properties)),
         ("notes", _indented({k: obj.notes[k] for k in sorted(obj.notes)})),
     ]
@@ -64,8 +58,9 @@ _FIRST_ENTRY, _NEXT_ENTRY = "[" + _ENTRY, "," + _ENTRY
 
 def _maps_text(maps: tuple[PartialMap, ...]) -> str:
     """_indented of the maps as lists of [vertex, bit] lists, whose entries
-    are all ints.  One short piece per entry: the text of a whole map would be
-    long enough to leave holes in the C heap, raising peak memory."""
+    PartialMap keeps plain ints.  One short piece per entry: the text of a
+    whole map would be long enough to leave holes in the C heap, raising peak
+    memory."""
     if not maps:
         return "[]"
     pieces = []
@@ -249,6 +244,12 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     return 0 if not failures else 1
 
 
+def _bits_text(coloring: Coloring) -> str:
+    """The coloring's colors in sorted universe order, one digit per vertex."""
+    n = len(coloring.universe)
+    return format(coloring.bits, f"0{n}b")[::-1] if n else ""
+
+
 def _cmd_color(args: argparse.Namespace, out: IO[str]) -> int:
     doc = _read_document(args.file)
     family = doc.family
@@ -261,10 +262,7 @@ def _cmd_color(args: argparse.Namespace, out: IO[str]) -> int:
             f" counterexamples={report.counterexamples}\n"
         )
         if report.first_counterexample is not None:
-            bits = "".join(
-                str(report.first_counterexample.value(v)) for v in family.universe
-            )
-            out.write(f"first-counterexample: {bits}\n")
+            out.write(f"first-counterexample: {_bits_text(report.first_counterexample)}\n")
         return 0
     report = analysis.find_coloring(
         family, count=args.count, workers=args.workers
@@ -274,8 +272,7 @@ def _cmd_color(args: argparse.Namespace, out: IO[str]) -> int:
             f"colorings: {report.coloring_count} of {report.enumerated}\n"
         )
     elif report.colorable:
-        bits = "".join(str(report.witness.value(v)) for v in family.universe)
-        out.write(f"colorable: witness={bits}\n")
+        out.write(f"colorable: witness={_bits_text(report.witness)}\n")
     else:
         out.write(f"non-colorable: enumerated={report.enumerated}\n")
     return 0
@@ -357,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
         " partial 0/1 assignments.",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes for enumeration"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and ignored: enumeration runs in the calling process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,13 +28,21 @@ VertexId = int
 
 @dataclass(frozen=True, order=True)
 class PartialMap:
-    """A partial 0/1 assignment; `entries` is sorted by vertex and duplicate-free."""
+    """A partial 0/1 assignment; `entries` is sorted by vertex and duplicate-free.
+
+    Vertex ids and values are plain ints (not bools, floats or numpy
+    scalars), as a parsed document's are.
+    """
 
     entries: tuple[tuple[VertexId, int], ...]
 
     def __post_init__(self) -> None:
         last = -1
         for vertex, bit in self.entries:
+            if type(vertex) is not int or type(bit) is not int:
+                raise ValueError(
+                    f"vertex ids and values must be plain ints, got ({vertex!r}, {bit!r})"
+                )
             if vertex < 0:
                 raise ValueError(f"vertex ids must be nonnegative, got {vertex}")
             if vertex <= last:
@@ -169,10 +177,9 @@ class Coloring:
             raise ValueError("bits out of range for universe size")
 
     def value(self, vertex: VertexId) -> int:
-        try:
-            i = self.universe.index(vertex)
-        except ValueError:
-            raise OutOfUniverseError(f"vertex {vertex} not in universe") from None
+        i = bisect_left(self.universe, vertex)
+        if i == len(self.universe) or self.universe[i] != vertex:
+            raise OutOfUniverseError(f"vertex {vertex} not in universe")
         return (self.bits >> i) & 1
 
     def as_dict(self) -> dict[VertexId, int]:

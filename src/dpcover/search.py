@@ -19,7 +19,6 @@ it leaves this module.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb
@@ -246,8 +245,8 @@ def _completion_dfs(
     Returns (best total size, witness indices, nodes visited).  Within this
     representative the first witness found at the running minimum size is
     kept, and once a witness of size s exists only strictly smaller totals
-    are explored; the traversal order is fixed, so the outcome does not
-    depend on how representatives are distributed over workers.
+    are explored; the traversal order is fixed, so the outcome is
+    deterministic.
 
     The candidates are the pool maps whose domain the representative does
     not use, in pool order, with cand[p] the pool index, keep[p] the
@@ -296,24 +295,6 @@ def _completion_dfs(
     return best_size, best_indices, nodes
 
 
-def _phase2_chunk(args: tuple) -> tuple[int | None, int, tuple[int, ...] | None, int]:
-    """Worker task: best completion over a contiguous run of representatives."""
-    r, n, reps, budget = args
-    pool = _Pool(r, n)
-    best: tuple[int, int] | None = None  # (size, rep position)
-    best_indices: tuple[int, ...] | None = None
-    nodes = 0
-    for pos, rep in enumerate(reps):
-        size, indices, visited = _completion_dfs(pool, rep, budget)
-        nodes += visited
-        if size is not None and (best is None or (size, pos) < best):
-            best = (size, pos)
-            best_indices = indices
-    if best is None:
-        return None, -1, None, nodes
-    return best[0], best[1], best_indices, nodes
-
-
 def search_min_unary(
     r: int,
     max_size: int,
@@ -330,7 +311,8 @@ def search_min_unary(
     witness, or reports that all such families are colorable.  Pruning uses
     exact canonical keys at shallow levels, the survivor-count bound, and the
     weight certificate: a family whose weight cannot reach 1 within the map
-    budget is never non-colorable.
+    budget is never non-colorable.  The search runs in the calling process;
+    `workers` is accepted and has no effect.
     """
     if r < 1 or max_size < 1 or max_vertices < r:
         raise ValueError("need r >= 1, max_size >= 1, max_vertices >= r")
@@ -389,44 +371,23 @@ def search_min_unary(
             )
         level = next_level
 
-    best: tuple[int, int] | None = None  # (size, global rep position)
+    best_size: int | None = None
     best_indices: tuple[int, ...] | None = None
-    if max_size > depth and level:
-        reps = [indices for indices, _, _ in sorted(level, key=lambda item: item[2])]
-        chunks = _split(reps, workers)
-        tasks = [(r, max_vertices, chunk, max_size) for chunk in chunks if chunk]
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-                results = list(pool_exec.map(_phase2_chunk, tasks))
-        else:
-            results = [_phase2_chunk(t) for t in tasks]
-        offset = 0
-        for task, (size, pos, indices, nodes) in zip(tasks, results):
+    if max_size > depth:
+        # The first representative, in key order, to reach the smallest size.
+        for rep, _, _ in sorted(level, key=lambda item: item[2]):
+            size, indices, nodes = _completion_dfs(pool, rep, max_size)
             examined += nodes
-            if size is not None and (best is None or (size, offset + pos) < best):
-                best = (size, offset + pos)
-                best_indices = indices
-            offset += len(task[2])
+            if size is not None and (best_size is None or size < best_size):
+                best_size, best_indices = size, indices
     if best_indices is not None:
         return _finish_report(
-            r, max_size, max_vertices, pool, best_indices, best[0],
+            r, max_size, max_vertices, pool, best_indices, best_size,
             examined, classes_seen,
         )
     return MinimalityReport(
         r, max_size, max_vertices, None, None, examined, classes_seen
     )
-
-
-def _split(items: list, parts: int) -> list[list]:
-    parts = max(1, parts)
-    base, extra = divmod(len(items), parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        width = base + (1 if i < extra else 0)
-        out.append(items[start : start + width])
-        start += width
-    return out
 
 
 def _finish_report(

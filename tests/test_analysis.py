@@ -1,12 +1,14 @@
 """Certification engine against brute-force oracles."""
 import itertools
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dpcover import analysis, constructions
+from dpcover import analysis, constructions, search
 from dpcover.core import Coloring, Family, make_partial_map
 from dpcover.errors import OutOfUniverseError, UniverseTooLargeError
 
@@ -81,6 +83,18 @@ class TestFindColoring:
         two = analysis.find_coloring(family, workers=2, chunk_size=16)
         assert one == two
         assert two.witness.bits == 0 and two.enumerated == 1
+
+    def test_enumeration_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        family = constructions.parity_gadget(4).family  # 8 vertices: 16 chunks
+        two = analysis.find_coloring(family, count=True, workers=2, chunk_size=16)
+        assert two == analysis.find_coloring(family, count=True, chunk_size=16)
+        report = search.search_min_unary(2, 6, 6, workers=2)
+        assert report == search.search_min_unary(2, 6, 6)
 
     def test_universe_limit(self, monkeypatch):
         big = fam(*([(v, 0)] for v in range(8)))

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from dpcover import analysis, cli, constructions
@@ -89,10 +90,21 @@ class TestSerialization:
             assert (back.claimed_properties, back.notes) == (doc.claimed_properties, doc.notes)
             assert serialize(back) == text
 
-    def test_non_integer_entries_keep_the_plain_encoder_bytes(self):
-        # PartialMap accepts a bool bit (True == 1); the encoder writes it as true.
-        doc = Family.of([make_partial_map([(0, True), (1, 0)])])
-        assert serialize(doc) == slow_serialize(doc)
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, True), (1, 0)],
+            [(0, 1.0)],
+            [(1.0, 0), (2, 1)],
+            [(np.int64(3), 1)],
+            [(3, np.int64(1))],
+        ],
+        ids=["bool-bit", "float-bit", "float-vertex", "int64-vertex", "int64-bit"],
+    )
+    def test_non_integer_entries_are_rejected(self, pairs):
+        # parse accepts only plain ints, so no map may hold anything else.
+        with pytest.raises(ValueError):
+            make_partial_map(pairs)
 
     def test_field_order_is_fixed(self):
         text = serialize(constructions.two_edge_gadget())
@@ -321,6 +333,27 @@ class TestColorCommand:
         f = {v: int(b) for v, b in zip(family.universe, bits)}
         for m in family.maps:
             assert any(f[v] != bit for v, bit in m.entries)
+
+    @pytest.mark.parametrize(
+        "family",
+        [Family.of([]), fam([(0, 1)]), fam([(5, 0), (9, 0)], [(2, 1)], [(2**70, 1)])],
+        ids=["empty", "one-vertex", "sparse-ids"],
+    )
+    def test_bits_match_the_coloring_in_universe_order(self, tmp_path, capsys, family):
+        def rendered(coloring):
+            values = coloring.as_dict()
+            return "".join(str(values[v]) for v in family.universe)
+
+        path = write_doc(tmp_path, family)
+        assert cli_main(["color", path]) == 0
+        witness = analysis.find_coloring(family).witness
+        assert capsys.readouterr().out == f"colorable: witness={rendered(witness)}\n"
+        assert cli_main(["color", path, "--sample", "200", "--seed", "3"]) == 0
+        sample = analysis.sample_noncolorability(family, trials=200, seed=3)
+        first = f"first-counterexample: {rendered(sample.first_counterexample)}\n"
+        assert capsys.readouterr().out.endswith("\n" + first)
+        if not len(family):
+            assert rendered(witness) == ""
 
     def test_count_mode(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.parity_gadget(3))

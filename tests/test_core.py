@@ -125,6 +125,12 @@ class TestColoring:
         f = Coloring((0, 1), 0)
         with pytest.raises(OutOfUniverseError):
             f.value(9)
+        sparse = Coloring((2, 5, 2**70), 0b111)
+        for vertex in (0, 3, 6, 2**70 - 1, 2**70 + 1):  # below, between, above
+            with pytest.raises(OutOfUniverseError):
+                sparse.value(vertex)
+        with pytest.raises(OutOfUniverseError):
+            Coloring((), 0).value(0)
 
     def test_avoids(self):
         f = Coloring.from_assignment({0: 0, 1: 1})
