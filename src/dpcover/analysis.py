@@ -366,8 +366,13 @@ def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleRepo
     report is a pure function of (family, trials, seed); buffers come from a
     counter-based generator so wide universes stay cheap to sample.  The
     stream is drawn in blocks of at most 2 MiB, and whole blocks are gathered
-    until `_WALK_TRIALS` colorings can be walked together.
+    until `_WALK_TRIALS` colorings can be walked together.  A negative
+    `trials` or `seed` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     index = _MapIndex(family)
     universe = index.universe
     n = len(universe)

@@ -16,7 +16,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import analysis
-from .core import Family, PartialMap, VertexId, make_partial_map, relabel_family
+from .core import (
+    Family,
+    PartialMap,
+    VertexId,
+    _partial_map,
+    make_partial_map,
+    relabel_family,
+)
 from .errors import (
     NotUnaryError,
     OddRError,
@@ -316,7 +323,8 @@ def binary_family(r: int) -> GadgetOutput:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    family = Family.of(PartialMap(entries) for entries in _binary_entries(r))
+    # The closed form emits valid entries, with the maps sorted and distinct.
+    family = Family(tuple(map(_partial_map, _binary_entries(r))))
     labels = {"pivot": (1 << r) - 2}
     claims = _shape_claims(family, uniform=r)
     claims.append({"kind": "binary"})

@@ -15,6 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -37,19 +38,7 @@ class PartialMap:
     entries: tuple[tuple[VertexId, int], ...]
 
     def __post_init__(self) -> None:
-        last = -1
-        for vertex, bit in self.entries:
-            if type(vertex) is not int or type(bit) is not int:
-                raise ValueError(
-                    f"vertex ids and values must be plain ints, got ({vertex!r}, {bit!r})"
-                )
-            if vertex < 0:
-                raise ValueError(f"vertex ids must be nonnegative, got {vertex}")
-            if vertex <= last:
-                raise ValueError("entries must be strictly sorted by vertex")
-            if bit not in (0, 1):
-                raise ValueError(f"values must be 0 or 1, got {bit!r}")
-            last = vertex
+        _check_entries(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -72,19 +61,61 @@ class PartialMap:
         return dict(self.entries)
 
 
+def _check_entries(entries: Iterable[tuple[VertexId, int]]) -> None:
+    """Raise ValueError at the first (vertex, bit) pair that is not two plain
+    ints, has a negative vertex, does not follow the previous vertex, or has
+    a bit other than 0 or 1."""
+    last = -1
+    for vertex, bit in entries:
+        if type(vertex) is not int or type(bit) is not int:
+            raise ValueError(
+                f"vertex ids and values must be plain ints, got ({vertex!r}, {bit!r})"
+            )
+        if vertex < 0:
+            raise ValueError(f"vertex ids must be nonnegative, got {vertex}")
+        if vertex <= last:
+            raise ValueError("entries must be strictly sorted by vertex")
+        if bit not in (0, 1):
+            raise ValueError(f"values must be 0 or 1, got {bit!r}")
+        last = vertex
+
+
+def _partial_map(entries: tuple[tuple[VertexId, int], ...]) -> PartialMap:
+    """A PartialMap whose entries the caller has already checked, built
+    without running __post_init__ again."""
+    phi = object.__new__(PartialMap)
+    object.__setattr__(phi, "entries", entries)
+    return phi
+
+
 def make_partial_map(pairs: Iterable[tuple[VertexId, int]]) -> PartialMap:
     """Build a PartialMap from (vertex, bit) pairs in any order.
 
     The empty map is allowed.  Two entries for the same vertex raise
-    DuplicateVertexError even when they agree.
+    DuplicateVertexError even when they agree, and before any other check
+    fails.  The pairs are sorted once and checked in one pass; only when that
+    pass fails are they scanned in the given order for the first repeated
+    vertex, so every input raises what a duplicate scan, the sort and
+    __post_init__ run one after the other would raise.
     """
     pairs = list(pairs)
+    try:
+        entries = tuple(sorted(pairs))
+        _check_entries(entries)
+    except (TypeError, ValueError):
+        _check_distinct(pairs)
+        raise
+    return _partial_map(entries)
+
+
+def _check_distinct(pairs: list[tuple[VertexId, int]]) -> None:
+    """Raise DuplicateVertexError at the first pair, in the given order, whose
+    vertex an earlier pair already has."""
     seen: set[VertexId] = set()
     for vertex, _ in pairs:
         if vertex in seen:
-            raise DuplicateVertexError(f"vertex {vertex} appears twice")
+            raise DuplicateVertexError(f"vertex {vertex} appears twice") from None
         seen.add(vertex)
-    return PartialMap(tuple(sorted(pairs)))
 
 
 def _edge_order(edge: tuple[VertexId, ...]) -> tuple[int, tuple[VertexId, ...]]:
@@ -128,9 +159,16 @@ class Family:
 
     @staticmethod
     def of(maps: Iterable[PartialMap]) -> "Family":
-        maps = sorted(maps)
+        """The family of the given maps, sorted; a map given twice raises
+        DuplicateMapError.
+
+        Maps are sorted and compared by their entries tuples: the order of
+        PartialMap's `order=True`, without its comparison methods, which
+        are Python functions.
+        """
+        maps = sorted(maps, key=attrgetter("entries"))
         for a, b in zip(maps, maps[1:]):
-            if a == b:
+            if a.entries == b.entries:
                 raise DuplicateMapError(f"duplicate map {a.entries}")
         return Family(tuple(maps))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from dpcover.constructions import GadgetOutput
 from dpcover.core import Family, PartialMap, make_partial_map
+from dpcover.errors import DuplicateMapError, DuplicateVertexError
 
 
 def all_assignments(vertices):
@@ -139,6 +140,91 @@ def slow_serialize(obj: GadgetOutput | Family) -> str:
         "notes": {k: obj.notes[k] for k in sorted(obj.notes)},
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The constructors and the document parser as they were before each map was
+# validated in one pass: a duplicate scan in the given order, then a sort, then
+# PartialMap.__post_init__'s loop (copied here, so the oracle does not share
+# the library's validator); Family.of sorting through PartialMap's order=True
+# comparisons; parse building the family under the cyclic collector.
+def _slow_check_entries(entries) -> None:
+    last = -1
+    for vertex, bit in entries:
+        if type(vertex) is not int or type(bit) is not int:
+            raise ValueError(
+                f"vertex ids and values must be plain ints, got ({vertex!r}, {bit!r})"
+            )
+        if vertex < 0:
+            raise ValueError(f"vertex ids must be nonnegative, got {vertex}")
+        if vertex <= last:
+            raise ValueError("entries must be strictly sorted by vertex")
+        if bit not in (0, 1):
+            raise ValueError(f"values must be 0 or 1, got {bit!r}")
+        last = vertex
+
+
+def slow_make_partial_map(pairs) -> PartialMap:
+    pairs = list(pairs)
+    seen = set()
+    for vertex, _ in pairs:
+        if vertex in seen:
+            raise DuplicateVertexError(f"vertex {vertex} appears twice")
+        seen.add(vertex)
+    entries = tuple(sorted(pairs))
+    _slow_check_entries(entries)
+    return PartialMap(entries)
+
+
+def slow_family_of(maps) -> Family:
+    maps = sorted(maps)
+    for a, b in zip(maps, maps[1:]):
+        if a == b:
+            raise DuplicateMapError(f"duplicate map {a.entries}")
+    return Family(tuple(maps))
+
+
+def slow_parse(text: str) -> GadgetOutput:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    if doc.get("format_version") != "1":
+        raise ValueError(
+            f"unsupported format_version {doc.get('format_version')!r}"
+        )
+    maps = _slow_field(doc, "maps", list)
+    family = slow_family_of(
+        slow_make_partial_map(_slow_entries(i, e)) for i, e in enumerate(maps)
+    )
+    labels = _slow_field(doc, "labels", dict)
+    if not all(type(v) is int for v in labels.values()):
+        raise ValueError("label values must be integer vertex ids")
+    claims = _slow_field(doc, "claimed_properties", list)
+    if not all(isinstance(c, dict) and isinstance(c.get("kind"), str) for c in claims):
+        raise ValueError("each claimed property must be an object with a string 'kind'")
+    notes = {str(k): str(v) for k, v in _slow_field(doc, "notes", dict).items()}
+    return GadgetOutput(family, labels, str(doc.get("source", "")), claims, notes)
+
+
+def _slow_entries(i: int, entry_list: object) -> list[tuple[int, int]]:
+    if type(entry_list) is list:
+        for pair in entry_list:
+            if type(pair) is not list or len(pair) != 2:
+                break
+            if type(pair[0]) is not int or type(pair[1]) is not int:
+                break
+        else:
+            return list(map(tuple, entry_list))
+    raise ValueError(f"maps[{i}] is not a list of [vertex, bit] integer pairs")
+
+
+def _slow_field(doc: dict, name: str, kind: type) -> list | dict:
+    value = doc.get(name, kind())
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a JSON {'array' if kind is list else 'object'}")
+    return value
 
 
 def cnf_satisfiable(text: str) -> bool:

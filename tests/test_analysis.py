@@ -130,6 +130,14 @@ class TestSampling:
         assert report.counterexamples == 50
         assert report.first_counterexample is not None
 
+    def test_negative_trials_or_seed_rejected(self):
+        family = constructions.binary_family(3).family
+        with pytest.raises(ValueError, match="^trials must be nonnegative, got -1$"):
+            analysis.sample_noncolorability(family, -1, seed=0)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -2$"):
+            analysis.sample_noncolorability(family, 10, seed=-2)
+        assert analysis.sample_noncolorability(family, 0, seed=0).counterexamples == 0
+
     def test_colorable_family_finds_counterexamples(self):
         family = constructions.parity_gadget(3).family
         report = analysis.sample_noncolorability(family, 2000, seed=3)

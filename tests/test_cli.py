@@ -1,4 +1,5 @@
 """JSON persistence, DIMACS export, and the command-line front end."""
+import gc
 import io
 import json
 import sys
@@ -32,6 +33,23 @@ def registry_gadgets():
 
 
 class TestSerialization:
+    def test_parse_runs_no_cyclic_collection(self):
+        text = serialize(constructions.binary_family(10))
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            doc = parse(text)
+            assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == []
+        assert doc.family == constructions.binary_family(10).family
+
     def test_round_trip_every_gadget(self):
         for gadget in registry_gadgets():
             doc = parse(serialize(gadget))
@@ -354,6 +372,18 @@ class TestColorCommand:
         assert capsys.readouterr().out.endswith("\n" + first)
         if not len(family):
             assert rendered(witness) == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sample", "-5"], "trials must be nonnegative, got -5"),
+            (["--sample", "5", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_negative_sample_or_seed_exits_one(self, tmp_path, capsys, flags, message):
+        path = write_doc(tmp_path, constructions.binary_family(3))
+        assert cli_main(["color", path, *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_count_mode(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.parity_gadget(3))

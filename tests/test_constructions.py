@@ -295,6 +295,14 @@ class TestBinaryFamily:
         joined = constructions.join_with_pivot(side, shifted, (1 << r) - 2)
         assert constructions.binary_family(r).family == joined
 
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_unchecked_maps_equal_the_checked_constructors(self, r):
+        # binary_family skips the checks in make_partial_map and Family.of;
+        # run both on its entries, reversed map by map and in reverse order.
+        entries = constructions._binary_entries(r)
+        checked = Family.of(make_partial_map(e[::-1]) for e in reversed(entries))
+        assert constructions.binary_family(r).family.maps == checked.maps
+
     def test_binary_but_not_a_cover(self):
         # Same-domain siblings differ only at one vertex, so they share
         # entries and fail the disjointness requirement of a valid cover.

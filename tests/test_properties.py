@@ -1,4 +1,8 @@
-"""Property tests: serialize/parse round trips, CNF export and entry types."""
+"""Property tests: serialize/parse round trips, CNF export, entry types, and
+the constructors and parser against their references in `oracles`."""
+import gc
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +11,14 @@ from dpcover.cli import export_cnf, parse, serialize
 from dpcover.core import Family, make_partial_map
 from dpcover.errors import EmptyMapPresentError
 
-from oracles import cnf_satisfiable, slow_colorable, slow_serialize
+from oracles import (
+    cnf_satisfiable,
+    slow_colorable,
+    slow_family_of,
+    slow_make_partial_map,
+    slow_parse,
+    slow_serialize,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -74,3 +85,155 @@ not_ints = st.one_of(
 def test_entries_that_are_not_ints_are_rejected(pairs):
     with pytest.raises(ValueError):
         make_partial_map(pairs)
+
+
+def outcome(f, *args):
+    """("ok", repr of the result, the result) or ("raised", class, message)."""
+    try:
+        result = f(*args)
+    except Exception as exc:  # the reference's exception is the expectation
+        return ("raised", type(exc), str(exc))
+    return ("ok", repr(result), result)
+
+
+# Vertex ids and bits: plain ints that collide often, reach below 0 and
+# above 1, and pass 2^63; and values equal to such ints that are not ints.
+plain = st.one_of(st.integers(-2, 6), st.integers(2**63 - 1, 2**63 + 1))
+odd = st.one_of(
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.integers(-1, 3).map(np.int64),
+    st.integers(0, 1).map(np.uint8),
+    st.sampled_from([None, "0"]),
+)
+pair_lists = st.one_of(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 1)), max_size=5, unique_by=lambda p: p[0]),
+    st.lists(st.tuples(plain, st.integers(-1, 2)), max_size=5),
+    st.lists(
+        st.one_of(
+            st.tuples(plain, plain),
+            st.tuples(st.one_of(plain, odd), st.one_of(plain, odd)),
+            st.lists(st.one_of(plain, odd), max_size=3),
+            st.tuples(plain),
+            st.tuples(plain, plain, plain),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@SETTINGS
+@given(pair_lists)
+@example([(3, 1), (0, 0), (3, 1)])
+@example([(1, 0), (True, 1)])
+@example([(True, 1), (1, 0)])
+@example([(0, None), (0, 1)])
+@example([(0.0, 1), (-1, 0), (0, 0)])
+@example([(5,), (2, 3, 4)])
+@example([[2, 1], [0, 0]])
+@example([(4, 2), (-1, 0)])
+def test_make_partial_map_matches_the_reference(pairs):
+    assert outcome(make_partial_map, pairs) == outcome(slow_make_partial_map, pairs)
+    assert outcome(make_partial_map, iter(pairs)) == outcome(slow_make_partial_map, pairs)
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), max_size=3).map(
+            lambda pairs: dict(pairs).items()
+        ),
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_family_of_matches_the_reference(entry_sets, rng):
+    maps = [make_partial_map(entries) for entries in entry_sets]
+    rng.shuffle(maps)
+    assert outcome(Family.of, maps) == outcome(slow_family_of, maps)
+    assert outcome(Family.of, iter(maps)) == outcome(slow_family_of, maps)
+
+
+# Documents for parse: JSON values in every field, valid ones more often.
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+json_pairs = st.tuples(st.integers(-1, 5), st.integers(-1, 2)).map(list)
+good_maps = st.lists(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)).map(list), max_size=4),
+    max_size=6,
+)
+
+
+def with_reordered_copies(maps):
+    """maps plus reversed copies of some of them: equal maps written in
+    another order, or the same map twice when it has at most one entry."""
+    if not maps:
+        return st.just(maps)
+    copies = st.lists(st.sampled_from(maps).map(lambda m: m[::-1]), max_size=2)
+    return copies.map(lambda extra: maps + extra)
+
+
+documents = st.fixed_dictionaries(
+    {"format_version": st.just("1")},
+    optional={
+        "source": st.one_of(st.text(max_size=4), json_values),
+        "labels": st.one_of(
+            st.dictionaries(st.text(max_size=2), st.integers(-1, 9), max_size=3),
+            st.dictionaries(st.text(max_size=2), json_values, max_size=3),
+            json_values,
+        ),
+        "maps": st.one_of(
+            good_maps.flatmap(with_reordered_copies),
+            st.lists(
+                st.one_of(st.lists(st.one_of(json_pairs, json_values), max_size=3), json_values),
+                max_size=4,
+            ),
+            json_values,
+        ),
+        "claimed_properties": st.one_of(
+            st.lists(st.fixed_dictionaries({"kind": st.text(max_size=4)}), max_size=3),
+            st.lists(json_values, max_size=3),
+            json_values,
+        ),
+        "notes": st.one_of(
+            st.dictionaries(st.text(max_size=2), st.text(max_size=3), max_size=3),
+            st.dictionaries(st.text(max_size=2), json_values, max_size=3),
+            json_values,
+        ),
+    },
+)
+
+
+@SETTINGS
+@given(st.one_of(documents, documents, json_values), st.booleans(), st.booleans())
+@example({"format_version": "1", "maps": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}, False, True)
+@example({"format_version": 1, "maps": []}, False, True)
+@example({"maps": []}, False, False)
+@example({"format_version": "1", "maps": [[], []]}, False, True)
+@example({"format_version": "1", "maps": [[[0, 1], [0, 1]]]}, False, False)
+@example({"format_version": "1", "maps": [[[0, 1]], [[True, 1]]]}, False, True)
+def test_parse_matches_the_reference_and_restores_the_collector(doc, truncate, collector_on):
+    text = json.dumps(doc)
+    if truncate:
+        text = text[:-1]
+    expected = outcome(slow_parse, text)
+    if collector_on:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        got = outcome(parse, text)
+        assert gc.isenabled() == collector_on
+    finally:
+        gc.enable()
+    assert got == expected
