@@ -94,28 +94,22 @@ def make_partial_map(pairs: Iterable[tuple[VertexId, int]]) -> PartialMap:
     The empty map is allowed.  Two entries for the same vertex raise
     DuplicateVertexError even when they agree, and before any other check
     fails.  The pairs are sorted once and checked in one pass; only when that
-    pass fails are they scanned in the given order for the first repeated
-    vertex, so every input raises what a duplicate scan, the sort and
-    __post_init__ run one after the other would raise.
+    fails are they scanned in the given order for the first repeated vertex.
+    So pairs given as tuples or lists raise what a duplicate scan, the sort
+    and __post_init__, run one after the other, would raise.
     """
     pairs = list(pairs)
     try:
         entries = tuple(sorted(pairs))
         _check_entries(entries)
     except (TypeError, ValueError):
-        _check_distinct(pairs)
+        seen: set[VertexId] = set()
+        for vertex, _ in pairs:
+            if vertex in seen:
+                raise DuplicateVertexError(f"vertex {vertex} appears twice") from None
+            seen.add(vertex)
         raise
     return _partial_map(entries)
-
-
-def _check_distinct(pairs: list[tuple[VertexId, int]]) -> None:
-    """Raise DuplicateVertexError at the first pair, in the given order, whose
-    vertex an earlier pair already has."""
-    seen: set[VertexId] = set()
-    for vertex, _ in pairs:
-        if vertex in seen:
-            raise DuplicateVertexError(f"vertex {vertex} appears twice") from None
-        seen.add(vertex)
 
 
 def _edge_order(edge: tuple[VertexId, ...]) -> tuple[int, tuple[VertexId, ...]]:
