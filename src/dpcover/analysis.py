@@ -11,8 +11,11 @@ updates.  Counts use the smallest unsigned dtype that holds len(family), since
 no code lies in more maps than that.  All weights are exact Fractions whose
 denominators are powers of two.
 
-Enumeration thresholds are defaults, overridable per call or via environment
-variables (DPCOVER_ENUM_LIMIT, DPCOVER_PARITY_LIMIT, DPCOVER_AUDIT_LIMIT).
+Two size limits guard the enumeration, each overridable only by its
+environment variable: DPCOVER_ENUM_LIMIT (default 30 vertices) for the scan in
+find_coloring, and DPCOVER_PARITY_LIMIT (default 24) for everything that holds
+a 2^n table or all the avoiders: avoiding_codes, MultiplicityTable,
+parity_identity, weight_one_audit and the claims.
 """
 from __future__ import annotations
 
@@ -40,15 +43,16 @@ from .errors import OutOfUniverseError, UniverseTooLargeError
 
 DEFAULT_ENUM_LIMIT = 30
 DEFAULT_PARITY_LIMIT = 24
-DEFAULT_AUDIT_LIMIT = 20
 DEFAULT_CHUNK = 1 << 16
 
 
-def _limit(explicit: int | None, env_name: str, default: int) -> int:
-    if explicit is not None:
-        return explicit
+def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> None:
+    """Raise UniverseTooLargeError when n exceeds the limit: the environment
+    variable env_name if it is set, else default."""
     raw = os.environ.get(env_name)
-    return int(raw) if raw else default
+    cap = int(raw) if raw else default
+    if n > cap:
+        raise UniverseTooLargeError(f"{what} has {n} vertices, limit is {cap}")
 
 
 def _ranks(universe: Sequence[VertexId]) -> dict[VertexId, int]:
@@ -130,20 +134,17 @@ def find_coloring(
     *,
     count: bool = False,
     workers: int = 1,
-    limit: int | None = None,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> ColorabilityReport:
     """Exhaustively search for a coloring avoiding every map of the family.
 
     The witness is the smallest coloring code.  The scan runs in the calling
     process; `workers` is accepted and has no effect.  Raises
-    UniverseTooLargeError above the enumeration limit.
+    UniverseTooLargeError above the scan limit.
     """
     universe = family.universe
     n = len(universe)
-    cap = _limit(limit, "DPCOVER_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
-    if n > cap:
-        raise UniverseTooLargeError(f"universe has {n} vertices, limit is {cap}")
+    _check_size(n, "DPCOVER_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
     cubes = _Subcubes(family, universe, chunk_size)
     total = 1 << n
     first: int | None = None
@@ -163,18 +164,10 @@ def find_coloring(
     return ColorabilityReport(True, witness, (avoiders if count else None), enumerated)
 
 
-def avoiding_codes(
-    family: Family,
-    *,
-    limit: int | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> np.ndarray:
+def avoiding_codes(family: Family, *, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
     """All coloring codes avoiding every map, ascending."""
     universe = family.universe
-    n = len(universe)
-    cap = _limit(limit, "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
-    if n > cap:
-        raise UniverseTooLargeError(f"universe has {n} vertices, limit is {cap}")
+    _check_size(len(universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     cubes = _Subcubes(family, universe, chunk_size)
     return np.concatenate([np.flatnonzero(cubes.counts(lo) == 0) + lo for lo in cubes.starts])
 
@@ -448,7 +441,6 @@ class MultiplicityTable:
         family: Family,
         ambient: Sequence[VertexId] | None = None,
         *,
-        limit: int | None = None,
         chunk_size: int = DEFAULT_CHUNK,
     ):
         universe = family.universe
@@ -456,9 +448,7 @@ class MultiplicityTable:
         if not set(universe) <= set(amb):
             raise OutOfUniverseError("ambient must contain the family universe")
         n = len(amb)
-        cap = _limit(limit, "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
-        if n > cap:
-            raise UniverseTooLargeError(f"ambient has {n} vertices, limit is {cap}")
+        _check_size(n, "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT, "ambient")
         self.ambient = amb
         self.n = n
         cubes = _Subcubes(family, amb, chunk_size)
@@ -513,7 +503,6 @@ def parity_identity(
     subset: Iterable[VertexId],
     *,
     ambient: Sequence[VertexId] | None = None,
-    limit: int | None = None,
     table: MultiplicityTable | None = None,
 ) -> ParityResidual:
     """Evaluate both sides of the signed-weight identity independently.
@@ -525,7 +514,7 @@ def parity_identity(
     s = tuple(sorted(set(subset)))
     if table is None:
         amb = tuple(sorted(set(family.universe) | set(s) | set(ambient or ())))
-        table = MultiplicityTable(family, amb, limit=limit)
+        table = MultiplicityTable(family, amb)
     else:
         amb = table.ambient
         if not set(s) <= set(amb):
@@ -586,7 +575,7 @@ class WeightOneAudit:
         return "consistent" if self.consistent else f"violated:{self.violations[0].clause}"
 
 
-def weight_one_audit(family: Family, *, limit: int | None = None) -> WeightOneAudit:
+def weight_one_audit(family: Family) -> WeightOneAudit:
     """Audit the package of facts forced on non-colorable weight-1 families.
 
     Every clause is evaluated, whatever the others find.  Clauses (b) and (c)
@@ -595,17 +584,13 @@ def weight_one_audit(family: Family, *, limit: int | None = None) -> WeightOneAu
     and it stops at the first size with an unbalanced S, reporting the first
     such S in sorted order.
     """
-    n = len(family.universe)
-    cap = _limit(limit, "DPCOVER_AUDIT_LIMIT", DEFAULT_AUDIT_LIMIT)
-    if n > cap:
-        raise UniverseTooLargeError(f"universe has {n} vertices, limit is {cap}")
-
+    _check_size(len(family.universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     violations: list[AuditViolation] = []
     w = weight(family)
     if w != 1:
         violations.append(AuditViolation("weight-is-one", f"weight is {w}"))
 
-    table = MultiplicityTable(family, limit=cap)
+    table = MultiplicityTable(family)
     free = np.flatnonzero(table.counts == 0)
     if free.size:
         witness = _checked_witness(family, family.universe, int(free[0]))
@@ -710,8 +695,8 @@ def _is_constant(codes: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
 class _ClaimScope:
     """What the claims on one family share, each part computed on first use."""
 
-    def __init__(self, family: Family, limit: int | None):
-        self.family, self.limit = family, limit
+    def __init__(self, family: Family):
+        self.family = family
 
     @cached_property
     def rank(self) -> dict[VertexId, int]:
@@ -719,23 +704,25 @@ class _ClaimScope:
 
     @cached_property
     def codes(self) -> np.ndarray:
-        return avoiding_codes(self.family, limit=self.limit)
+        return avoiding_codes(self.family)
 
 
 # Set by check_claims around its check_claim calls, so that they share one scope.
 _SCOPE: ContextVar[_ClaimScope | None] = ContextVar("_SCOPE", default=None)
 
 
-def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> ClaimResult:
+def check_claim(family: Family, claim: dict) -> ClaimResult:
     """Verify one claim descriptor against the family by direct computation.
 
     Raises ValueError when the claim lacks a field its kind needs, or when a
-    field has the wrong type.
+    field has the wrong type.  Only a kind that needs a table or the avoiding
+    colorings builds one, after its fields check out, so only such a kind can
+    raise UniverseTooLargeError.
     """
     kind = claim.get("kind", "")
     scope = _SCOPE.get()
-    if scope is None or scope.family is not family or scope.limit != limit:
-        scope = _ClaimScope(family, limit)
+    if scope is None or scope.family is not family:
+        scope = _ClaimScope(family)
     profile = classify(family)
 
     def field(name: str, *types: type) -> Any:
@@ -800,10 +787,10 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
     if kind == "binary":
         return ok() if profile.is_binary else fail("a domain carries more than two maps")
     if kind == "valid-cover":
+        edges = field("edges", int) if "edges" in claim else None
         if profile.cover_of is None:
             reason, edge = profile.cover_violation  # type: ignore[misc]
             return fail(f"{reason} at {list(edge)}")
-        edges = field("edges", int) if "edges" in claim else None
         if edges is not None and len(profile.cover_of) != edges:
             return fail(f"{len(profile.cover_of)} edges, expected {edges}")
         return ok()
@@ -820,26 +807,27 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             return fail(f"{rep.counterexamples} avoiding colorings in {rep.trials} trials")
         return ok()
     if kind == "multiplicity-histogram":
-        table = MultiplicityTable(family, limit=limit)
-        got = {str(k): v for k, v in table.histogram().items()}
         want = field("histogram", dict)
+        got = {str(k): v for k, v in MultiplicityTable(family).histogram().items()}
         return ok() if got == want else fail(f"histogram {got}, expected {want}")
 
-    # The remaining kinds quantify over the family's avoiding colorings.
-    codes = scope.codes
+    # The remaining kinds quantify over the family's avoiding colorings,
+    # scope.codes, which each reads only once its fields check out.
     if kind == "no-coloring":
+        codes = scope.codes
         if codes.size:
             return fail(f"coloring {int(codes[0])} avoids every map")
         return ok()
     if kind == "colorable":
-        return ok() if codes.size else fail("no coloring avoids every map")
+        return ok() if scope.codes.size else fail("no coloring avoids every map")
     if kind == "coloring-count":
-        want = field("value", int)
-        return ok() if codes.size == want else fail(f"{codes.size} colorings, expected {want}")
+        want, got = field("value", int), scope.codes.size
+        return ok() if got == want else fail(f"{got} colorings, expected {want}")
     if kind == "forces-equal":
         rs = ranks_of(vertices("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
         bad = np.flatnonzero(~_is_constant(codes, rs))
         if bad.size:
             return fail(f"coloring {int(codes[bad[0]])} is not constant there")
@@ -849,6 +837,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
         a, b = rs
+        codes = scope.codes
         bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
         if bad.size:
             return fail(f"coloring {int(codes[bad[0]])} agrees on the pair")
@@ -859,6 +848,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
             if rs is None:
                 return fail("claim mentions a vertex outside the universe")
             a, b = rs
+            codes = scope.codes
             bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
             if bad.size:
                 return fail(f"coloring {int(codes[bad[0]])} agrees on pair {list(pair)}")
@@ -867,6 +857,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         rs = ranks_of(vertices("vertices"))
         if rs is None:
             return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
         parity = np.zeros(codes.shape, dtype=np.int64)
         for r in rs:
             parity ^= (codes >> r) & 1
@@ -878,6 +869,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         src, dst = ranks_of(vertices("src")), ranks_of(vertices("dst"))
         if src is None or dst is None:
             return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
         bad = np.flatnonzero(_is_constant(codes, src) & ~_is_constant(codes, dst))
         if bad.size:
             return fail(f"coloring {int(codes[bad[0]])} is constant on src, not on dst")
@@ -886,6 +878,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
         if left is None or right is None:
             return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
         bad = np.flatnonzero(_is_constant(codes, left) & _is_constant(codes, right))
         if bad.size:
             return fail(f"coloring {int(codes[bad[0]])} is constant on both sides")
@@ -894,6 +887,7 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
         left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
         if left is None or right is None:
             return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
         bad = np.flatnonzero(~(_is_constant(codes, left) | _is_constant(codes, right)))
         if bad.size:
             return fail(f"coloring {int(codes[bad[0]])} is constant on neither side")
@@ -902,13 +896,11 @@ def check_claim(family: Family, claim: dict, *, limit: int | None = None) -> Cla
     return fail(f"unknown claim kind {kind!r}")
 
 
-def check_claims(
-    family: Family, claims: Sequence[dict], *, limit: int | None = None
-) -> tuple[ClaimResult, ...]:
+def check_claims(family: Family, claims: Sequence[dict]) -> tuple[ClaimResult, ...]:
     """check_claim on each claim in order; the avoiding codes are enumerated
     at most once for all of them."""
-    token = _SCOPE.set(_ClaimScope(family, limit))
+    token = _SCOPE.set(_ClaimScope(family))
     try:
-        return tuple(check_claim(family, c, limit=limit) for c in claims)
+        return tuple(check_claim(family, c) for c in claims)
     finally:
         _SCOPE.reset(token)

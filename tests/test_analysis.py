@@ -3,7 +3,9 @@ import itertools
 import multiprocessing
 import os
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,10 +100,8 @@ class TestFindColoring:
 
     def test_universe_limit(self, monkeypatch):
         big = fam(*([(v, 0)] for v in range(8)))
-        with pytest.raises(UniverseTooLargeError):
-            analysis.find_coloring(big, limit=7)
         monkeypatch.setenv("DPCOVER_ENUM_LIMIT", "7")
-        with pytest.raises(UniverseTooLargeError):
+        with pytest.raises(UniverseTooLargeError, match="universe has 8 vertices, limit is 7"):
             analysis.find_coloring(big)
         monkeypatch.setenv("DPCOVER_ENUM_LIMIT", "8")
         report = analysis.find_coloring(big)
@@ -387,10 +387,15 @@ class TestMultiplicityTable:
         table = analysis.MultiplicityTable(family, ambient=(0, 1, 5))
         assert table.ambient == (0, 1, 5)
 
-    def test_limit_guard(self):
+    def test_limit_guard(self, monkeypatch):
         family = fam(*([(v, 0)] for v in range(6)))
-        with pytest.raises(UniverseTooLargeError):
-            analysis.MultiplicityTable(family, limit=5)
+        monkeypatch.setenv("DPCOVER_PARITY_LIMIT", "5")
+        with pytest.raises(UniverseTooLargeError, match="ambient has 6 vertices, limit is 5"):
+            analysis.MultiplicityTable(family)
+        with pytest.raises(UniverseTooLargeError, match="ambient has 6 vertices, limit is 5"):
+            analysis.parity_identity(family, [0])
+        monkeypatch.setenv("DPCOVER_PARITY_LIMIT", "6")
+        assert analysis.MultiplicityTable(family).n == 6
 
 
 class TestKernelAgainstOracles:
@@ -577,11 +582,37 @@ class TestWeightOneAudit:
 
     def test_limit_guard(self, monkeypatch):
         family = constructions.binary_family(3).family
-        with pytest.raises(UniverseTooLargeError):
-            analysis.weight_one_audit(family, limit=6)
-        monkeypatch.setenv("DPCOVER_AUDIT_LIMIT", "6")
-        with pytest.raises(UniverseTooLargeError):
+        monkeypatch.setenv("DPCOVER_PARITY_LIMIT", "6")
+        with pytest.raises(UniverseTooLargeError, match="universe has 7 vertices, limit is 6"):
             analysis.weight_one_audit(family)
+
+    @staticmethod
+    def heap_tree_family(n):
+        """The leaf paths of the decision tree whose inner node i, for i < n,
+        splits on vertex i and has children 2i + 1 and 2i + 2: weight one, and
+        every coloring contains exactly one map, so the audit is consistent."""
+        paths = []
+
+        def walk(i, path):
+            if i >= n:
+                paths.append(path)
+                return
+            for b in (0, 1):
+                walk(2 * i + 1 + b, path + [(i, b)])
+
+        walk(0, [])
+        return fam(*paths)
+
+    def test_table_limit_bounds_the_audit(self):
+        for n in (21, 24):
+            assert analysis.weight_one_audit(self.heap_tree_family(n)).consistent
+        with pytest.raises(UniverseTooLargeError, match="universe has 25 vertices, limit is 24"):
+            analysis.weight_one_audit(self.heap_tree_family(25))
+
+    def test_no_separate_audit_limit(self, monkeypatch):
+        monkeypatch.setenv("DPCOVER_AUDIT_LIMIT", "6")
+        family = constructions.parity_gadget(4).family  # 8 vertices
+        assert analysis.weight_one_audit(family).verdict == "violated:no-coloring"
 
 
 class TestDomination:
@@ -731,6 +762,14 @@ class TestClaimChecking:
         result = analysis.check_claim(family, {"kind": "forces-distinct", "vertices": [3, 99]})
         assert not result.ok
         assert "outside the universe" in result.message
+        big = constructions.binary_family(5).family  # 31 vertices, over the table limit
+        a, b = big.universe[:2]
+        result = analysis.check_claim(big, {"kind": "forces-equal", "vertices": [a, 99]})
+        assert result == analysis.ClaimResult(
+            "forces-equal", False, "claim mentions a vertex outside the universe"
+        )
+        with pytest.raises(UniverseTooLargeError, match="universe has 31 vertices, limit is 24"):
+            analysis.check_claim(big, {"kind": "forces-equal", "vertices": [a, b]})
 
     @pytest.mark.parametrize(
         "claim",
@@ -749,14 +788,24 @@ class TestClaimChecking:
         ],
     )
     def test_field_of_the_wrong_type_raises_value_error(self, claim):
-        family = constructions.k43_cover().family
-        with pytest.raises(ValueError, match=repr(claim["kind"])):
-            analysis.check_claim(family, claim)
+        # binary_family(5) has 31 vertices, over the table limit: the fields
+        # are checked before any table is built.
+        for family in (constructions.k43_cover().family, constructions.binary_family(5).family):
+            with pytest.raises(ValueError, match=repr(claim["kind"])):
+                analysis.check_claim(family, claim)
 
-    def test_unknown_kind_fails(self):
-        result = analysis.check_claim(Family.of([]), {"kind": "mystery"})
-        assert not result.ok
-        assert "unknown claim kind" in result.message
+    def test_unknown_kind_fails(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "avoiding_codes", calls.append)
+        for family in (
+            Family.of([]),
+            constructions.parity_gadget(3).family,
+            constructions.binary_family(5).family,  # over the table limit
+        ):
+            result = analysis.check_claim(family, {"kind": "mystery"})
+            assert result == analysis.ClaimResult("mystery", False, "unknown claim kind 'mystery'")
+            assert analysis.check_claims(family, [{"kind": "mystery"}]) == (result,)
+        assert calls == []
 
     def test_check_claims_matches_check_claim_on_every_gadget(self):
         gadgets = [
@@ -813,15 +862,16 @@ class TestClaimChecking:
         analysis.check_claims(gadget.family, claims)
         assert len(calls) == 2
 
-    def test_check_claim_ignores_the_scope_of_another_call(self):
+    def test_check_claim_ignores_the_scope_of_another_call(self, monkeypatch):
         colorable = constructions.parity_gadget(2).family
-        other = analysis._ClaimScope(constructions.binary_family(2).family, None)
+        other = analysis._ClaimScope(constructions.binary_family(2).family)
         token = analysis._SCOPE.set(other)
         try:
             assert analysis.check_claim(colorable, {"kind": "colorable"}).ok
             other.family = colorable
+            monkeypatch.setenv("DPCOVER_PARITY_LIMIT", "2")
             with pytest.raises(UniverseTooLargeError):
-                analysis.check_claim(colorable, {"kind": "colorable"}, limit=2)
+                analysis.check_claim(colorable, {"kind": "colorable"})
         finally:
             analysis._SCOPE.reset(token)
 
@@ -831,3 +881,13 @@ class TestClaimChecking:
         results = analysis.check_claims(family, claims)
         assert [r.kind for r in results] == ["map-count", "unary"]
         assert results[0].ok and not results[1].ok
+
+
+def test_two_size_limits_each_set_by_one_env_var():
+    root = Path(__file__).resolve().parents[1]
+    names = set()
+    for path in (root / "src" / "dpcover").rglob("*.py"):
+        names.update(re.findall(r"DPCOVER_[A-Z_]+", path.read_text(encoding="utf-8")))
+    assert names == {"DPCOVER_ENUM_LIMIT", "DPCOVER_PARITY_LIMIT"}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert all(f"`{name}`" in readme for name in names)

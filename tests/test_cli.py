@@ -283,6 +283,22 @@ class TestVerifyCommand:
         assert "FAIL unary:" in out
         assert out.endswith("violations found\n")
 
+    def test_unknown_claim_over_the_table_limit_fails_alone(self, tmp_path, capsys):
+        gadget = constructions.binary_family(5)  # 31 vertices, over the table limit
+        doc = json.loads(serialize(gadget))
+        doc["claimed_properties"].append({"kind": "mystery"})
+        path = tmp_path / "mystery.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(path), "--claims"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            *(f"ok {claim['kind']}" for claim in gadget.claimed_properties),
+            "FAIL mystery: unknown claim kind 'mystery'",
+            f"claims: {len(gadget.claimed_properties) + 1} checked, 1 failed",
+            "violations found",
+        ]
+
     def test_without_claims_flag_only_profiles(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.binary_family(2))
         assert cli_main(["verify", path]) == 0
