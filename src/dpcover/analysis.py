@@ -591,14 +591,13 @@ def weight_one_audit(family: Family) -> WeightOneAudit:
         violations.append(AuditViolation("weight-is-one", f"weight is {w}"))
 
     table = MultiplicityTable(family)
-    free = np.flatnonzero(table.counts == 0)
-    if free.size:
-        witness = _checked_witness(family, family.universe, int(free[0]))
+    free = int(np.argmax(table.counts == 0))
+    if table.counts[free] == 0:
+        witness = _checked_witness(family, family.universe, free)
         violations.append(AuditViolation("no-coloring", f"coloring {witness.bits} avoids every map"))
 
-    bad = np.flatnonzero(table.counts != 1)
-    if bad.size:
-        first_bad = int(bad[0])
+    first_bad = int(np.argmax(table.counts != 1))
+    if table.counts[first_bad] != 1:
         violations.append(
             AuditViolation(
                 "multiplicity-one",
@@ -843,11 +842,10 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
             return fail(f"coloring {int(codes[bad[0]])} agrees on the pair")
         return ok()
     if kind == "pair-disagreement":
-        for pair in pairs("pairs"):
-            rs = ranks_of(pair)
-            if rs is None:
-                return fail("claim mentions a vertex outside the universe")
-            a, b = rs
+        ranked = [(pair, ranks_of(pair)) for pair in pairs("pairs")]
+        if any(rs is None for _, rs in ranked):
+            return fail("claim mentions a vertex outside the universe")
+        for pair, (a, b) in ranked:
             codes = scope.codes
             bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
             if bad.size:

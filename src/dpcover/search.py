@@ -12,7 +12,8 @@ leaves free, resuming after each chosen map at the first map of the next
 domain.  Non-colorability is decided by a survivor bitmask (one bit per
 coloring of the pool); a family is non-colorable exactly when its survivor
 mask is zero, and a branch dies when the remaining map budget cannot kill the
-remaining survivors.
+remaining survivors.  Representatives complete in key order, and once one has
+a witness each later one gets the running best minus one as its budget.
 
 Every reported witness is re-verified independently through analysis before
 it leaves this module.
@@ -44,79 +45,6 @@ class CanonicalKey:
     data: bytes
 
 
-def _min_code_sequence(maps: list[tuple[tuple[int, int], ...]]) -> tuple:
-    """Lexicographically smallest sorted code list over all dense relabelings.
-
-    A state is a partial relabeling (sigma) plus the set of maps not yet
-    emitted.  Each step emits the smallest code any remaining map can still
-    reach: labeled vertices keep their labels, unlabeled ones take the next
-    dense labels with their values in ascending order.  All states and all
-    fresh-label assignments that achieve the minimum are kept, so the greedy
-    choice is exact; candidate codes only grow as labels are pinned down.
-    """
-    n_maps = len(maps)
-    states: list[tuple[frozenset[int], tuple[tuple[int, int], ...]]] = [
-        (frozenset(range(n_maps)), ())
-    ]
-    sequence = []
-    for _ in range(n_maps):
-        best_code = None
-        options = []  # (state_index, map_index, zeros, ones) achieving best_code
-        for s_idx, (remaining, sigma_items) in enumerate(states):
-            sigma = dict(sigma_items)
-            k = len(sigma)
-            for m_idx in remaining:
-                labeled = []
-                zeros, ones = [], []
-                for v, bit in maps[m_idx]:
-                    if v in sigma:
-                        labeled.append((sigma[v], bit))
-                    elif bit == 0:
-                        zeros.append(v)
-                    else:
-                        ones.append(v)
-                labeled.sort()
-                fresh_bits = [0] * len(zeros) + [1] * len(ones)
-                code = tuple(labeled) + tuple(
-                    (k + j, fresh_bits[j]) for j in range(len(fresh_bits))
-                )
-                if best_code is None or code < best_code:
-                    best_code = code
-                    options = [(s_idx, m_idx, zeros, ones)]
-                elif code == best_code:
-                    options.append((s_idx, m_idx, zeros, ones))
-        sequence.append(best_code)
-        next_states = set()
-        for s_idx, m_idx, zeros, ones in options:
-            remaining, sigma_items = states[s_idx]
-            sigma = dict(sigma_items)
-            k = len(sigma)
-            for zs in permutations(zeros):
-                for os_ in permutations(ones):
-                    new_sigma = dict(sigma)
-                    for j, v in enumerate(zs + os_):
-                        new_sigma[v] = k + j
-                    next_states.add(
-                        (remaining - {m_idx}, tuple(sorted(new_sigma.items())))
-                    )
-        if len(next_states) > _KEY_STATE_CAP:
-            raise SearchSpaceTooLargeError(
-                f"canonical key tie set exceeded {_KEY_STATE_CAP} states"
-            )
-        states = sorted(next_states)
-    return tuple(sequence)
-
-
-def _encode_sequence(sequence: tuple) -> bytes:
-    out = bytearray()
-    for code in sequence:
-        out.append(len(code))
-        for label, bit in code:
-            out.append(label)
-            out.append(bit)
-    return bytes(out)
-
-
 def canonical_key(family: Family, *, limit: int = _KEY_UNIVERSE_LIMIT) -> CanonicalKey:
     """Exact canonical form under vertex bijections and the global color flip.
 
@@ -134,11 +62,79 @@ def canonical_key(family: Family, *, limit: int = _KEY_UNIVERSE_LIMIT) -> Canoni
 def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
     """canonical_key's bytes for the family with these entry tuples.
 
-    The minimum runs over both the maps and their global flips; the caller
-    bounds the universe.
+    One greedy tie search emits the lexicographically smallest sorted code
+    list over all dense relabelings of the maps and of their global flip.  A
+    state is an orientation, its labeled vertices in label order, that
+    relabeling sigma as a dict, and the maps not yet emitted.  Each step emits
+    the smallest code any remaining map of any state can reach: labeled
+    vertices keep their labels, unlabeled ones take the next labels with
+    their values in ascending order.  Every state and fresh-label order that
+    achieves it is kept, so the greedy choice is exact, and an orientation
+    that loses a step drops out.  A code entry (label, bit) is the int
+    2 * label + bit, which sorts the same way; sigma holds twice the label.
+    The tie cap applies per orientation; the caller bounds the universe.
     """
     flipped = [tuple((v, 1 - bit) for v, bit in entries) for entries in maps]
-    return _encode_sequence(min(_min_code_sequence(maps), _min_code_sequence(flipped)))
+    oriented = (maps, flipped)
+    everything = frozenset(range(len(maps)))
+    # states: (orientation, vertices in label order, sigma, remaining maps)
+    states = [(0, (), {}, everything), (1, (), {}, everything)]
+    tails: dict[tuple[int, int, int], tuple[int, ...]] = {}  # (k, zeros, ones)
+    out = bytearray()
+    for _ in range(len(maps)):
+        k = len(states[0][1])  # every state has labeled the same number
+        best_code = None
+        options = []  # (state, map_index) achieving best_code
+        for state in states:
+            o, _, sigma, remaining = state
+            entries_of = oriented[o]
+            for m_idx in remaining:
+                labeled = []
+                zeros = ones = 0
+                for v, bit in entries_of[m_idx]:
+                    if v in sigma:
+                        labeled.append(sigma[v] + bit)
+                    elif bit:
+                        ones += 1
+                    else:
+                        zeros += 1
+                labeled.sort()
+                tail = tails.get((k, zeros, ones))
+                if tail is None:
+                    mid = 2 * (k + zeros)
+                    tail = tails[k, zeros, ones] = (
+                        *range(2 * k, mid, 2), *range(mid + 1, mid + 2 * ones, 2)
+                    )
+                code = tuple(labeled) + tail
+                if best_code is None or code < best_code:
+                    best_code = code
+                    options = [(state, m_idx)]
+                elif code == best_code:
+                    options.append((state, m_idx))
+        out.append(len(best_code))
+        for c in best_code:
+            out += bytes((c >> 1, c & 1))
+        next_states = {}
+        sizes = [0, 0]
+        for (o, order, sigma, remaining), m_idx in options:
+            rest = remaining - {m_idx}
+            zeros = [v for v, bit in oriented[o][m_idx] if not bit and v not in sigma]
+            ones = [v for v, bit in oriented[o][m_idx] if bit and v not in sigma]
+            for zs in permutations(zeros):
+                for os_ in permutations(ones):
+                    new_order = order + zs + os_
+                    if (o, new_order, rest) in next_states:
+                        continue
+                    sizes[o] += 1
+                    if sizes[o] > _KEY_STATE_CAP:
+                        raise SearchSpaceTooLargeError(
+                            f"canonical key tie set exceeded {_KEY_STATE_CAP} states"
+                        )
+                    new_sigma = dict(sigma)
+                    new_sigma.update(zip(zs + os_, range(2 * k, 2 * len(new_order), 2)))
+                    next_states[o, new_order, rest] = (o, new_order, new_sigma, rest)
+        states = list(next_states.values())
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +307,11 @@ def search_min_unary(
     witness, or reports that all such families are colorable.  Pruning uses
     exact canonical keys at shallow levels, the survivor-count bound, and the
     weight certificate: a family whose weight cannot reach 1 within the map
-    budget is never non-colorable.  The search runs in the calling process;
-    `workers` is accepted and has no effect.
+    budget is never non-colorable.  Phase 2 gives each representative after
+    the first witness the running best minus one as its budget, which keeps
+    the witness of a full budget; families_examined counts the nodes actually
+    visited.  The search runs in the calling process; `workers` is accepted
+    and has no effect.
     """
     if r < 1 or max_size < 1 or max_vertices < r:
         raise ValueError("need r >= 1, max_size >= 1, max_vertices >= r")
@@ -374,9 +373,11 @@ def search_min_unary(
     best_size: int | None = None
     best_indices: tuple[int, ...] | None = None
     if max_size > depth:
-        # The first representative, in key order, to reach the smallest size.
+        # The first representative, in key order, to reach the smallest size;
+        # once one has, later ones only explore sizes that can still win.
         for rep, _, _ in sorted(level, key=lambda item: item[2]):
-            size, indices, nodes = _completion_dfs(pool, rep, max_size)
+            budget = max_size if best_size is None else best_size - 1
+            size, indices, nodes = _completion_dfs(pool, rep, budget)
             examined += nodes
             if size is not None and (best_size is None or size < best_size):
                 best_size, best_indices = size, indices

@@ -9,13 +9,18 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from dpcover.constructions import GadgetOutput
 from dpcover.core import Family, PartialMap, make_partial_map
-from dpcover.errors import DuplicateMapError, DuplicateVertexError
+from dpcover.errors import (
+    DuplicateMapError,
+    DuplicateVertexError,
+    SearchSpaceTooLargeError,
+)
+from dpcover.search import _KEY_STATE_CAP
 
 
 def all_assignments(vertices):
@@ -336,3 +341,88 @@ def slow_completion_dfs(
                 continue
             stack.append((idx + 1, chosen + (idx,), child_surv))
     return best_size, best_indices, nodes
+
+
+# Reference for search._key_of_entries: one tie search per orientation, the
+# minimum of the two code sequences, then the byte encoding.
+def _min_code_sequence(maps: list[tuple[tuple[int, int], ...]]) -> tuple:
+    """Lexicographically smallest sorted code list over all dense relabelings.
+
+    A state is a partial relabeling (sigma) plus the set of maps not yet
+    emitted.  Each step emits the smallest code any remaining map can still
+    reach: labeled vertices keep their labels, unlabeled ones take the next
+    dense labels with their values in ascending order.  All states and all
+    fresh-label assignments that achieve the minimum are kept, so the greedy
+    choice is exact; candidate codes only grow as labels are pinned down.
+    """
+    n_maps = len(maps)
+    states: list[tuple[frozenset[int], tuple[tuple[int, int], ...]]] = [
+        (frozenset(range(n_maps)), ())
+    ]
+    sequence = []
+    for _ in range(n_maps):
+        best_code = None
+        options = []  # (state_index, map_index, zeros, ones) achieving best_code
+        for s_idx, (remaining, sigma_items) in enumerate(states):
+            sigma = dict(sigma_items)
+            k = len(sigma)
+            for m_idx in remaining:
+                labeled = []
+                zeros, ones = [], []
+                for v, bit in maps[m_idx]:
+                    if v in sigma:
+                        labeled.append((sigma[v], bit))
+                    elif bit == 0:
+                        zeros.append(v)
+                    else:
+                        ones.append(v)
+                labeled.sort()
+                fresh_bits = [0] * len(zeros) + [1] * len(ones)
+                code = tuple(labeled) + tuple(
+                    (k + j, fresh_bits[j]) for j in range(len(fresh_bits))
+                )
+                if best_code is None or code < best_code:
+                    best_code = code
+                    options = [(s_idx, m_idx, zeros, ones)]
+                elif code == best_code:
+                    options.append((s_idx, m_idx, zeros, ones))
+        sequence.append(best_code)
+        next_states = set()
+        for s_idx, m_idx, zeros, ones in options:
+            remaining, sigma_items = states[s_idx]
+            sigma = dict(sigma_items)
+            k = len(sigma)
+            for zs in permutations(zeros):
+                for os_ in permutations(ones):
+                    new_sigma = dict(sigma)
+                    for j, v in enumerate(zs + os_):
+                        new_sigma[v] = k + j
+                    next_states.add(
+                        (remaining - {m_idx}, tuple(sorted(new_sigma.items())))
+                    )
+        if len(next_states) > _KEY_STATE_CAP:
+            raise SearchSpaceTooLargeError(
+                f"canonical key tie set exceeded {_KEY_STATE_CAP} states"
+            )
+        states = sorted(next_states)
+    return tuple(sequence)
+
+
+def _encode_sequence(sequence: tuple) -> bytes:
+    out = bytearray()
+    for code in sequence:
+        out.append(len(code))
+        for label, bit in code:
+            out.append(label)
+            out.append(bit)
+    return bytes(out)
+
+
+def slow_key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
+    """canonical_key's bytes for the family with these entry tuples.
+
+    The minimum runs over both the maps and their global flips; the caller
+    bounds the universe.
+    """
+    flipped = [tuple((v, 1 - bit) for v, bit in entries) for entries in maps]
+    return _encode_sequence(min(_min_code_sequence(maps), _min_code_sequence(flipped)))

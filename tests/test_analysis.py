@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -609,6 +610,21 @@ class TestWeightOneAudit:
         with pytest.raises(UniverseTooLargeError, match="universe has 25 vertices, limit is 24"):
             analysis.weight_one_audit(self.heap_tree_family(25))
 
+    def test_first_index_reads_build_no_index_arrays(self):
+        # Every coloring but one contains some map, and coloring 0 contains
+        # ten: both clauses fail, and each needs only its first index.
+        family = fam(*([(v, v % 2)] for v in range(20)))
+        tracemalloc.start()
+        try:
+            audit = analysis.weight_one_audit(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v.clause for v in audit.violations][1:3] == ["no-coloring", "multiplicity-one"]
+        assert audit.violations[2].detail == "coloring 0 contains 10 maps"
+        table = analysis.MultiplicityTable(family)
+        assert peak < 4 * table.counts.nbytes
+
     def test_no_separate_audit_limit(self, monkeypatch):
         monkeypatch.setenv("DPCOVER_AUDIT_LIMIT", "6")
         family = constructions.parity_gadget(4).family  # 8 vertices
@@ -770,6 +786,16 @@ class TestClaimChecking:
         )
         with pytest.raises(UniverseTooLargeError, match="universe has 31 vertices, limit is 24"):
             analysis.check_claim(big, {"kind": "forces-equal", "vertices": [a, b]})
+
+    def test_pair_disagreement_checks_every_pair_before_the_table(self):
+        big = constructions.binary_family(5).family  # 31 vertices, over the table limit
+        a, b = big.universe[:2]
+        outside = analysis.ClaimResult(
+            "pair-disagreement", False, "claim mentions a vertex outside the universe"
+        )
+        for pairs in ([[a, b], [a, 999]], [[a, 999], [a, b]]):
+            claim = {"kind": "pair-disagreement", "pairs": pairs}
+            assert analysis.check_claim(big, claim) == outside
 
     @pytest.mark.parametrize(
         "claim",

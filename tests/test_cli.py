@@ -509,6 +509,13 @@ class TestSearchCommands:
         assert lines[1].startswith("examined: ")
         assert lines[2] == "result: all-colorable"
 
+    def test_search_unary_counts_the_pruned_search(self, capsys):
+        argv = ["search-unary", "--r", "2", "--max-size", "6", "--max-vertices", "6"]
+        assert cli_main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "examined: 36418 families, 74 canonical classes"
+        assert lines[2] == "result: found size 6"
+
     def test_search_unary_witness(self, capsys):
         argv = ["search-unary", "--r", "2", "--max-size", "6", "--max-vertices", "5"]
         assert cli_main(argv) == 0

@@ -1,7 +1,9 @@
 """Property tests: serialize/parse round trips, CNF export, entry types, and
-the constructors and parser against their references in `oracles`."""
+the constructors, parser and canonical keys against their references in
+`oracles`."""
 import gc
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from dpcover.cli import export_cnf, parse, serialize
 from dpcover.core import Family, make_partial_map
 from dpcover.errors import EmptyMapPresentError
+from dpcover.search import _key_of_entries
 
 from oracles import (
     cnf_satisfiable,
     slow_colorable,
     slow_family_of,
+    slow_key_of_entries,
     slow_make_partial_map,
     slow_parse,
     slow_serialize,
@@ -237,3 +241,40 @@ def test_parse_matches_the_reference_and_restores_the_collector(doc, truncate, c
     finally:
         gc.enable()
     assert got == expected
+
+
+# Entry tuples for canonical keys: families with maps of mixed sizes, unary
+# r-uniform families, and families closed under the global flip.
+def unary_families(r):
+    domains = st.lists(
+        st.sampled_from(list(combinations(range(6), r))), max_size=7, unique=True
+    )
+    return domains.flatmap(
+        lambda ds: st.tuples(*(st.tuples(*(st.integers(0, 1),) * r) for _ in ds)).map(
+            lambda bits: [tuple(zip(d, b)) for d, b in zip(ds, bits)]
+        )
+    )
+
+
+def flip_closed(maps):
+    flips = {tuple((v, 1 - bit) for v, bit in m) for m in maps}
+    return sorted(set(maps) | flips)
+
+
+mixed = families(vertices=st.integers(0, 6), max_entries=4, max_maps=6).map(
+    lambda family: [m.entries for m in family.maps]
+)
+key_inputs = st.one_of(
+    mixed,
+    st.sampled_from((1, 2, 3)).flatmap(unary_families),
+    st.one_of(mixed, unary_families(2)).map(flip_closed),
+)
+
+
+@SETTINGS
+@given(key_inputs)
+@example([])
+@example([()])
+@example([((0, 0),), ((0, 1),)])
+def test_key_of_entries_matches_the_reference(maps):
+    assert outcome(_key_of_entries, maps) == outcome(slow_key_of_entries, maps)

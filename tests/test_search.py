@@ -7,6 +7,7 @@ from dpcover import analysis, constructions, search
 from dpcover.core import Family, classify, make_partial_map, relabel_family
 from dpcover.errors import SearchSpaceTooLargeError, UniverseTooLargeError
 
+import oracles
 from oracles import random_family, slow_colorable, slow_completion_dfs
 
 
@@ -81,6 +82,17 @@ class TestCanonicalKey:
         with pytest.raises(UniverseTooLargeError):
             search.canonical_key(nested)
         assert search.canonical_key(nested, limit=13)
+
+    def test_losing_orientation_is_not_held_to_the_cap(self, monkeypatch):
+        # The flipped maps lose at the first step, where their big map alone
+        # ties in 3! orders; the maps as given never keep more than 2 states.
+        maps = [((1, 0),), ((1, 1), (2, 1), (3, 0), (4, 1))]
+        monkeypatch.setattr(search, "_KEY_STATE_CAP", 5)
+        monkeypatch.setattr(oracles, "_KEY_STATE_CAP", 5)
+        with pytest.raises(SearchSpaceTooLargeError):
+            oracles.slow_key_of_entries(maps)
+        as_given = oracles._encode_sequence(oracles._min_code_sequence(maps))
+        assert search._key_of_entries(maps) == as_given
 
     def test_tie_state_cap(self):
         # Ten interchangeable singletons tie on every step, so the kept
@@ -164,12 +176,12 @@ class TestSearchMinUnary:
         assert (five.families_examined, five.canonical_classes) == (22116, 74)
         six = search.search_min_unary(2, 6, 6)
         assert six.witness_size == 6
-        assert (six.families_examined, six.canonical_classes) == (429692, 74)
+        assert (six.families_examined, six.canonical_classes) == (36418, 74)
         seven_vertices = search.search_min_unary(2, 6, 7)
         assert seven_vertices.witness_size == 6
         assert (
             seven_vertices.families_examined, seven_vertices.canonical_classes
-        ) == (1572396, 74)
+        ) == (95226, 74)
 
     def test_witness_is_reverified_and_minimal(self):
         report = search.search_min_unary(2, 6, 6)
@@ -261,6 +273,30 @@ class TestCompletionAgainstOracle:
         for rep in [(0,), (0, 4), (0, 4, 8)]:
             assert search._completion_dfs(pool, rep, len(rep)) == (None, None, 0)
             assert slow_completion_dfs(pool, rep, len(rep)) == (None, None, 0)
+
+
+class TestRunningBestBudget:
+    """Phase 2 against the full budget for every representative."""
+
+    @pytest.mark.parametrize(
+        "r,max_size,max_vertices",
+        [params for params in _DFS_PARAMS if params not in _TOO_LARGE],
+    )
+    def test_same_result_with_fewer_nodes(
+        self, monkeypatch, r, max_size, max_vertices
+    ):
+        pruned = search.search_min_unary(r, max_size, max_vertices)
+        fast = search._completion_dfs
+        monkeypatch.setattr(
+            search,
+            "_completion_dfs",
+            lambda pool, rep, budget: fast(pool, rep, max_size),
+        )
+        full = search.search_min_unary(r, max_size, max_vertices)
+        assert pruned.witness == full.witness
+        assert pruned.witness_size == full.witness_size
+        assert pruned.canonical_classes == full.canonical_classes
+        assert pruned.families_examined <= full.families_examined
 
 
 class TestPhase1Keys:
