@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ from oracles import cnf_satisfiable, random_family, slow_serialize
 
 def fam(*entry_lists):
     return Family.of([make_partial_map(entries) for entries in entry_lists])
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def registry_gadgets():
@@ -124,6 +135,31 @@ class TestSerialization:
         with pytest.raises(ValueError):
             make_partial_map(pairs)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, cli._CHUNK_PIECES])
+    def test_maps_text_in_chunks_matches_the_plain_encoder(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK_PIECES", chunk)
+        docs = [Family.of([]), fam([]), fam([], [(0, 1)]), fam([], [(0, 1)], [(0, 0), (3, 1)])]
+        # One opening piece, then three per single-entry map: with 1366 maps,
+        # the last one starts a chunk.
+        for n in (1365, 1366, 1367):
+            docs.append(Family.of(make_partial_map([(v, v % 2)]) for v in range(n)))
+        docs.append(constructions.binary_family(9))
+        docs += [random_family(rng, min_map_size=0, allow_empty=True) for _ in range(30)]
+        for doc in docs:
+            assert serialize(doc) == slow_serialize(doc)
+
+    def test_parse_frees_each_map_as_it_is_read(self, tmp_path):
+        text = serialize(constructions.binary_family(11))
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        decoded = traced_peak(lambda: json.loads(text))
+        # With every decoded list alive until the family was built, parse
+        # peaked at 1.5x the decoded document, and reading the file at 1.4x
+        # the text plus the decoded document.
+        assert traced_peak(lambda: parse(text)) < 1.1 * decoded
+        assert traced_peak(lambda: cli._read_document(str(path))) < 1.1 * (decoded + len(text))
+        assert parse(text).family == cli._read_document(str(path)).family
+
     def test_field_order_is_fixed(self):
         text = serialize(constructions.two_edge_gadget())
         keys = list(json.loads(text).keys())
@@ -219,6 +255,17 @@ class TestConstructCommand:
         assert cli_main(["construct", "k43", "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert parse(target.read_text()).family == constructions.k43_cover().family
+
+    def test_construct_holds_one_chunk_of_pieces(self, tmp_path, monkeypatch):
+        gadget = constructions.binary_family(12)
+        text = serialize(gadget)
+        monkeypatch.setitem(cli._PARAMETRIC_GADGETS, "binary", lambda r: gadget)
+        target = tmp_path / "gadget.json"
+        argv = ["construct", "binary", "--r", "12", "--out", str(target)]
+        # Holding every per-entry piece until one join peaked at 4.4x the
+        # text; the chunks and the joined text take 2x.
+        assert traced_peak(lambda: cli_main(argv)) < 3 * len(text)
+        assert target.read_text() == text
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as info:
