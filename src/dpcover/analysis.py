@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product, takewhile
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -578,11 +578,12 @@ class WeightOneAudit:
 def weight_one_audit(family: Family) -> WeightOneAudit:
     """Audit the package of facts forced on non-colorable weight-1 families.
 
-    Every clause is evaluated, whatever the others find.  Clauses (b) and (c)
-    read one MultiplicityTable.  Clause (d) walks the subset sizes k = 1, 2,
-    ... in turn: at size k it costs sum over maps of C(|phi|, k) dict updates,
-    and it stops at the first size with an unbalanced S, reporting the first
-    such S in sorted order.
+    Every clause is evaluated, whatever the others find.  Clauses (b), (c)
+    and (d) read one MultiplicityTable.  Only when the table is not constant
+    does clause (d) walk the subset sizes k = 1, 2, ... in turn to name an
+    unbalanced S: at size k it costs sum over maps of C(|phi|, k) dict
+    updates, and it stops at the first such size, reporting the first S in
+    sorted order.
     """
     _check_size(len(family.universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     violations: list[AuditViolation] = []
@@ -605,10 +606,13 @@ def weight_one_audit(family: Family) -> WeightOneAudit:
             )
         )
 
-    # (d) by a scatter, one subset size k at a time: each map adds its weight
-    # 2^(e - |phi|) / 2^e to the even or odd side of every k-subset S of its
-    # domain, by the parity of its bits on S.
-    e = max(map(len, family.maps), default=0)
+    # (d) By the parity identity, w(even) - w(odd) for S is 2^-n times the
+    # Walsh-Hadamard coefficient of the counts at S, so some nonempty S is
+    # unbalanced exactly when the table is not constant.  Only then (else e is
+    # 0) does a scatter, one subset size k at a time, name the first such S:
+    # each map adds its weight 2^(e - |phi|) / 2^e to the even or odd side of
+    # every k-subset S of its domain, by the parity of its bits on S.
+    e = max(map(len, family.maps), default=0) if table.min() != table.max() else 0
     for k in range(1, e + 1):
         sides: dict[tuple[VertexId, ...], list[int]] = {}
         for m in family.maps:
@@ -685,10 +689,10 @@ class ClaimResult:
 
 
 def _is_constant(codes: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
-    if not ranks:
-        return np.ones(codes.shape, dtype=bool)
-    cols = np.stack([(codes >> r) & 1 for r in ranks])
-    return (cols == cols[0]).all(axis=0)
+    """Whether each code's bits at `ranks` all agree: all clear or all set."""
+    mask = sum(1 << r for r in set(ranks))
+    on = codes & mask
+    return (on == 0) | (on == mask)
 
 
 class _ClaimScope:
@@ -757,12 +761,6 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
             raise ValueError(f"claim {kind!r} field {name!r} must list pairs of integer vertex ids")
         return [list(p) for p in value]
 
-    def ranks_of(vs: Sequence[VertexId]) -> list[int] | None:
-        rank = scope.rank
-        if any(v not in rank for v in vs):
-            return None
-        return [rank[v] for v in vs]
-
     def fail(msg: str) -> ClaimResult:
         return ClaimResult(kind, False, msg)
 
@@ -810,86 +808,67 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         got = {str(k): v for k, v in MultiplicityTable(family).histogram().items()}
         return ok() if got == want else fail(f"histogram {got}, expected {want}")
 
+    def counterexample(
+        lists: Sequence[Sequence[VertexId]], bad: Callable[..., np.ndarray], message: str
+    ) -> ClaimResult:
+        """FAIL at the first avoiding coloring that bad(codes, *ranks of lists)
+        marks; every list is checked against the universe before scope.codes
+        is read."""
+        rank = scope.rank
+        if any(v not in rank for vs in lists for v in vs):
+            return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
+        hit = bad(codes, *([rank[v] for v in vs] for vs in lists))
+        return fail(f"coloring {int(codes[np.argmax(hit)])} {message}") if hit.any() else ok()
+
     # The remaining kinds quantify over the family's avoiding colorings,
     # scope.codes, which each reads only once its fields check out.
-    if kind == "no-coloring":
-        codes = scope.codes
-        if codes.size:
-            return fail(f"coloring {int(codes[0])} avoids every map")
-        return ok()
     if kind == "colorable":
         return ok() if scope.codes.size else fail("no coloring avoids every map")
     if kind == "coloring-count":
         want, got = field("value", int), scope.codes.size
         return ok() if got == want else fail(f"{got} colorings, expected {want}")
+    if kind == "no-coloring":
+        return counterexample([], lambda c: np.ones(c.shape, dtype=bool), "avoids every map")
     if kind == "forces-equal":
-        rs = ranks_of(vertices("vertices"))
-        if rs is None:
-            return fail("claim mentions a vertex outside the universe")
-        codes = scope.codes
-        bad = np.flatnonzero(~_is_constant(codes, rs))
-        if bad.size:
-            return fail(f"coloring {int(codes[bad[0]])} is not constant there")
-        return ok()
+        vs = vertices("vertices")
+        return counterexample([vs], lambda c, r: ~_is_constant(c, r), "is not constant there")
     if kind == "forces-distinct":
-        rs = ranks_of(vertices("vertices", 2))
-        if rs is None:
-            return fail("claim mentions a vertex outside the universe")
-        a, b = rs
-        codes = scope.codes
-        bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
-        if bad.size:
-            return fail(f"coloring {int(codes[bad[0]])} agrees on the pair")
-        return ok()
+        return counterexample([vertices("vertices", 2)], _is_constant, "agrees on the pair")
     if kind == "pair-disagreement":
-        ranked = [(pair, ranks_of(pair)) for pair in pairs("pairs")]
-        if any(rs is None for _, rs in ranked):
-            return fail("claim mentions a vertex outside the universe")
-        for pair, (a, b) in ranked:
-            codes = scope.codes
-            bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
-            if bad.size:
-                return fail(f"coloring {int(codes[bad[0]])} agrees on pair {list(pair)}")
+        # Pair by pair in order; each call checks them all against the universe.
+        ps = pairs("pairs")
+        for i, pair in enumerate(ps):
+            result = counterexample(
+                ps, lambda c, *rs: _is_constant(c, rs[i]), f"agrees on pair {pair}"
+            )
+            if not result.ok:
+                return result
         return ok()
     if kind == "odd-ones":
-        rs = ranks_of(vertices("vertices"))
-        if rs is None:
-            return fail("claim mentions a vertex outside the universe")
-        codes = scope.codes
-        parity = np.zeros(codes.shape, dtype=np.int64)
-        for r in rs:
-            parity ^= (codes >> r) & 1
-        bad = np.flatnonzero(parity == 0)
-        if bad.size:
-            return fail(f"coloring {int(codes[bad[0]])} has an even number of ones there")
-        return ok()
+        return counterexample(
+            [vertices("vertices")],
+            lambda c, r: sum(((c >> b) & 1 for b in r), np.zeros_like(c)) % 2 == 0,
+            "has an even number of ones there",
+        )
     if kind == "constant-implies-constant":
-        src, dst = ranks_of(vertices("src")), ranks_of(vertices("dst"))
-        if src is None or dst is None:
-            return fail("claim mentions a vertex outside the universe")
-        codes = scope.codes
-        bad = np.flatnonzero(_is_constant(codes, src) & ~_is_constant(codes, dst))
-        if bad.size:
-            return fail(f"coloring {int(codes[bad[0]])} is constant on src, not on dst")
-        return ok()
+        return counterexample(
+            [vertices("src"), vertices("dst")],
+            lambda c, s, d: _is_constant(c, s) & ~_is_constant(c, d),
+            "is constant on src, not on dst",
+        )
     if kind == "never-both-constant":
-        left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
-        if left is None or right is None:
-            return fail("claim mentions a vertex outside the universe")
-        codes = scope.codes
-        bad = np.flatnonzero(_is_constant(codes, left) & _is_constant(codes, right))
-        if bad.size:
-            return fail(f"coloring {int(codes[bad[0]])} is constant on both sides")
-        return ok()
+        return counterexample(
+            [vertices("left"), vertices("right")],
+            lambda c, left, right: _is_constant(c, left) & _is_constant(c, right),
+            "is constant on both sides",
+        )
     if kind == "constant-side":
-        left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
-        if left is None or right is None:
-            return fail("claim mentions a vertex outside the universe")
-        codes = scope.codes
-        bad = np.flatnonzero(~(_is_constant(codes, left) | _is_constant(codes, right)))
-        if bad.size:
-            return fail(f"coloring {int(codes[bad[0]])} is constant on neither side")
-        return ok()
+        return counterexample(
+            [vertices("left"), vertices("right")],
+            lambda c, left, right: ~(_is_constant(c, left) | _is_constant(c, right)),
+            "is constant on neither side",
+        )
 
     return fail(f"unknown claim kind {kind!r}")
 

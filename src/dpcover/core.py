@@ -94,21 +94,26 @@ def make_partial_map(pairs: Iterable[tuple[VertexId, int]]) -> PartialMap:
     The empty map is allowed.  Two entries for the same vertex raise
     DuplicateVertexError even when they agree, and before any other check
     fails.  The pairs are sorted once and checked in one pass; only when that
-    fails are they scanned in the given order for the first repeated vertex.
-    So pairs given as tuples or lists raise what a duplicate scan, the sort
-    and __post_init__, run one after the other, would raise.
+    fails do they take the reference order: a scan in the given order for the
+    first repeated vertex, the sort, and __post_init__'s check.  A lone pair
+    that is not a tuple goes to that order at once: the sort compares
+    nothing then, and a one-shot iterator must be used up by the scan.
     """
     pairs = list(pairs)
-    try:
-        entries = tuple(sorted(pairs))
-        _check_entries(entries)
-    except (TypeError, ValueError):
-        seen: set[VertexId] = set()
-        for vertex, _ in pairs:
-            if vertex in seen:
-                raise DuplicateVertexError(f"vertex {vertex} appears twice") from None
-            seen.add(vertex)
-        raise
+    if len(pairs) != 1 or type(pairs[0]) is tuple:
+        try:
+            entries = tuple(sorted(pairs))
+            _check_entries(entries)
+            return _partial_map(entries)
+        except (TypeError, ValueError):
+            pass
+    seen: set[VertexId] = set()
+    for vertex, _ in pairs:
+        if vertex in seen:
+            raise DuplicateVertexError(f"vertex {vertex} appears twice")
+        seen.add(vertex)
+    entries = tuple(sorted(pairs))
+    _check_entries(entries)
     return _partial_map(entries)
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb
 
+import numpy as np
+
 from . import analysis
 from .core import Family, PartialMap, VertexId, make_partial_map
 from .errors import SearchSpaceTooLargeError, UniverseTooLargeError
@@ -31,6 +33,7 @@ from .errors import SearchSpaceTooLargeError, UniverseTooLargeError
 _KEY_UNIVERSE_LIMIT = 12
 _KEY_STATE_CAP = 100_000
 _SEARCH_NODE_CAP = 1_000_000_000
+_CANONICAL_DEPTH = 3  # levels run breadth-first with canonical keys
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +209,17 @@ class _Pool:
         self.maps: list[tuple[tuple[int, int], ...]] = []
         self.domain_id: list[int] = []
         self.kill: list[int] = []
-        space = 1 << n
+        codes = np.arange(1 << n)
         for d_id, domain in enumerate(combinations(range(n), r)):
+            mask = sum(1 << v for v in domain)
             for bits in product((0, 1), repeat=r):
                 entries = tuple(zip(domain, bits))
-                mask = 0
-                pattern = 0
-                for v, b in entries:
-                    mask |= 1 << v
-                    pattern |= b << v
-                killed = 0
-                free = [v for v in range(n) if not (mask >> v) & 1]
-                for sub in range(1 << len(free)):
-                    code = pattern
-                    for j, v in enumerate(free):
-                        if (sub >> j) & 1:
-                            code |= 1 << v
-                    killed |= 1 << code
+                pattern = sum(b << v for v, b in entries)
+                hit = np.packbits((codes & mask) == pattern, bitorder="little")
                 self.maps.append(entries)
                 self.domain_id.append(d_id)
-                self.kill.append(killed)
-        self.full = (1 << space) - 1
+                self.kill.append(int.from_bytes(hit.tobytes(), "little"))
+        self.full = (1 << (1 << n)) - 1
         self.per_map_kill = 1 << (n - r)
 
     def family(self, indices: tuple[int, ...]) -> Family:
@@ -297,7 +290,6 @@ def search_min_unary(
     max_vertices: int,
     *,
     workers: int = 1,
-    canonical_depth: int = 3,
 ) -> MinimalityReport:
     """Smallest non-colorable unary r-uniform family within the given bounds.
 
@@ -321,7 +313,7 @@ def search_min_unary(
         )
     n_candidates = comb(max_vertices, r) << r
     estimate = sum(comb(n_candidates, k) for k in range(1, max_size + 1))
-    if estimate > _SEARCH_NODE_CAP and max_size > canonical_depth:
+    if estimate > _SEARCH_NODE_CAP and max_size > _CANONICAL_DEPTH:
         raise SearchSpaceTooLargeError(
             f"worst-case search space {estimate} exceeds {_SEARCH_NODE_CAP}"
         )
@@ -333,7 +325,7 @@ def search_min_unary(
         return MinimalityReport(r, max_size, max_vertices, None, None, 0, 0)
 
     pool = _Pool(r, max_vertices)
-    depth = min(canonical_depth, max_size)
+    depth = min(_CANONICAL_DEPTH, max_size)
 
     examined = 0
     classes_seen = 0

@@ -2,7 +2,10 @@
 
 Everything here works over explicit dictionaries and Fractions, never over
 integer-coded colorings or numpy arrays, so a bug shared with the library
-implementation would have to be duplicated by hand to go unnoticed.
+implementation would have to be duplicated by hand to go unnoticed.  The
+exception is `slow_check_claim`, a copy of the earlier `check_claim` kept to
+pin its exact results and errors: it reads the library's avoiding codes, and
+`slow_colorings` checks those.
 """
 from __future__ import annotations
 
@@ -10,9 +13,11 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Any, Sequence
 
 import numpy as np
 
+from dpcover import analysis
 from dpcover.constructions import GadgetOutput
 from dpcover.core import Family, PartialMap, make_partial_map
 from dpcover.errors import (
@@ -426,3 +431,187 @@ def slow_key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
     """
     flipped = [tuple((v, 1 - bit) for v, bit in entries) for entries in maps]
     return _encode_sequence(min(_min_code_sequence(maps), _min_code_sequence(flipped)))
+
+
+def _slow_is_constant(codes: np.ndarray, ranks) -> np.ndarray:
+    if not ranks:
+        return np.ones(codes.shape, dtype=bool)
+    cols = np.stack([(codes >> r) & 1 for r in ranks])
+    return (cols == cols[0]).all(axis=0)
+
+
+def slow_check_claim(family: Family, claim: dict) -> analysis.ClaimResult:
+    """check_claim as it was before one helper served every avoiding-colorings
+    kind: each kind reads scope.codes and formats its FAIL line itself."""
+    kind = claim.get("kind", "")
+    scope = analysis._ClaimScope(family)
+    profile = analysis.classify(family)
+
+    def field(name: str, *types: type) -> Any:
+        """claim[name], which must be an instance of one of `types`; a bool
+        is not an int."""
+        if name not in claim:
+            raise ValueError(f"claim {kind!r} has no {name!r} field")
+        value = claim[name]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            want = " or ".join(t.__name__ for t in types)
+            raise ValueError(
+                f"claim {kind!r} field {name!r} must be {want}, not {type(value).__name__}"
+            )
+        return value
+
+    def is_vertex_list(value: Any, size: int | None = None) -> bool:
+        return (
+            isinstance(value, (list, tuple))
+            and all(type(v) is int for v in value)
+            and size in (None, len(value))
+        )
+
+    def vertices(name: str, size: int | None = None) -> list[int]:
+        value = field(name, list, tuple)
+        if not is_vertex_list(value, size):
+            ids = "integer vertex ids" if size is None else f"{size} integer vertex ids"
+            raise ValueError(f"claim {kind!r} field {name!r} must list {ids}")
+        return list(value)
+
+    def pairs(name: str) -> list[list[int]]:
+        value = field(name, list, tuple)
+        if not all(is_vertex_list(p, 2) for p in value):
+            raise ValueError(f"claim {kind!r} field {name!r} must list pairs of integer vertex ids")
+        return [list(p) for p in value]
+
+    def ranks_of(vs: Sequence[int]) -> list[int] | None:
+        rank = scope.rank
+        if any(v not in rank for v in vs):
+            return None
+        return [rank[v] for v in vs]
+
+    def fail(msg: str) -> analysis.ClaimResult:
+        return analysis.ClaimResult(kind, False, msg)
+
+    def ok(msg: str = "") -> analysis.ClaimResult:
+        return analysis.ClaimResult(kind, True, msg)
+
+    if kind == "map-count":
+        want = field("value", int)
+        return ok() if len(family) == want else fail(f"{len(family)} maps, expected {want}")
+    if kind == "universe-size":
+        want = field("value", int)
+        got = len(family.universe)
+        return ok() if got == want else fail(f"{got} vertices, expected {want}")
+    if kind == "uniform":
+        want = field("r", int)
+        if profile.uniformity == want:
+            return ok()
+        return fail(f"uniformity {profile.uniformity}, expected {want}")
+    if kind == "unary":
+        return ok() if profile.is_unary else fail("a domain carries more than one map")
+    if kind == "binary":
+        return ok() if profile.is_binary else fail("a domain carries more than two maps")
+    if kind == "valid-cover":
+        edges = field("edges", int) if "edges" in claim else None
+        if profile.cover_of is None:
+            reason, edge = profile.cover_violation  # type: ignore[misc]
+            return fail(f"{reason} at {list(edge)}")
+        if edges is not None and len(profile.cover_of) != edges:
+            return fail(f"{len(profile.cover_of)} edges, expected {edges}")
+        return ok()
+    if kind == "weight":
+        got, want = str(analysis.weight(family)), field("value", str)
+        return ok() if got == want else fail(f"weight {got}, expected {want}")
+    if kind == "transversal-domains":
+        want = {tuple(sorted(choice)) for choice in product(*pairs("pairs"))}
+        got = {m.domain for m in family.maps}
+        return ok() if got == want else fail("domains differ from the pair transversals")
+    if kind == "sampled-no-coloring":
+        rep = analysis.sample_noncolorability(family, field("trials", int), field("seed", int))
+        if rep.counterexamples:
+            return fail(f"{rep.counterexamples} avoiding colorings in {rep.trials} trials")
+        return ok()
+    if kind == "multiplicity-histogram":
+        want = field("histogram", dict)
+        got = {str(k): v for k, v in analysis.MultiplicityTable(family).histogram().items()}
+        return ok() if got == want else fail(f"histogram {got}, expected {want}")
+
+    # The remaining kinds quantify over the family's avoiding colorings,
+    # scope.codes, which each reads only once its fields check out.
+    if kind == "no-coloring":
+        codes = scope.codes
+        if codes.size:
+            return fail(f"coloring {int(codes[0])} avoids every map")
+        return ok()
+    if kind == "colorable":
+        return ok() if scope.codes.size else fail("no coloring avoids every map")
+    if kind == "coloring-count":
+        want, got = field("value", int), scope.codes.size
+        return ok() if got == want else fail(f"{got} colorings, expected {want}")
+    if kind == "forces-equal":
+        rs = ranks_of(vertices("vertices"))
+        if rs is None:
+            return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
+        bad = np.flatnonzero(~_slow_is_constant(codes, rs))
+        if bad.size:
+            return fail(f"coloring {int(codes[bad[0]])} is not constant there")
+        return ok()
+    if kind == "forces-distinct":
+        rs = ranks_of(vertices("vertices", 2))
+        if rs is None:
+            return fail("claim mentions a vertex outside the universe")
+        a, b = rs
+        codes = scope.codes
+        bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
+        if bad.size:
+            return fail(f"coloring {int(codes[bad[0]])} agrees on the pair")
+        return ok()
+    if kind == "pair-disagreement":
+        ranked = [(pair, ranks_of(pair)) for pair in pairs("pairs")]
+        if any(rs is None for _, rs in ranked):
+            return fail("claim mentions a vertex outside the universe")
+        for pair, (a, b) in ranked:
+            codes = scope.codes
+            bad = np.flatnonzero(((codes >> a) & 1) == ((codes >> b) & 1))
+            if bad.size:
+                return fail(f"coloring {int(codes[bad[0]])} agrees on pair {list(pair)}")
+        return ok()
+    if kind == "odd-ones":
+        rs = ranks_of(vertices("vertices"))
+        if rs is None:
+            return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
+        parity = np.zeros(codes.shape, dtype=np.int64)
+        for r in rs:
+            parity ^= (codes >> r) & 1
+        bad = np.flatnonzero(parity == 0)
+        if bad.size:
+            return fail(f"coloring {int(codes[bad[0]])} has an even number of ones there")
+        return ok()
+    if kind == "constant-implies-constant":
+        src, dst = ranks_of(vertices("src")), ranks_of(vertices("dst"))
+        if src is None or dst is None:
+            return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
+        bad = np.flatnonzero(_slow_is_constant(codes, src) & ~_slow_is_constant(codes, dst))
+        if bad.size:
+            return fail(f"coloring {int(codes[bad[0]])} is constant on src, not on dst")
+        return ok()
+    if kind == "never-both-constant":
+        left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
+        if left is None or right is None:
+            return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
+        bad = np.flatnonzero(_slow_is_constant(codes, left) & _slow_is_constant(codes, right))
+        if bad.size:
+            return fail(f"coloring {int(codes[bad[0]])} is constant on both sides")
+        return ok()
+    if kind == "constant-side":
+        left, right = ranks_of(vertices("left")), ranks_of(vertices("right"))
+        if left is None or right is None:
+            return fail("claim mentions a vertex outside the universe")
+        codes = scope.codes
+        bad = np.flatnonzero(~(_slow_is_constant(codes, left) | _slow_is_constant(codes, right)))
+        if bad.size:
+            return fail(f"coloring {int(codes[bad[0]])} is constant on neither side")
+        return ok()
+
+    return fail(f"unknown claim kind {kind!r}")

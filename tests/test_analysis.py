@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from dpcover.errors import OutOfUniverseError, UniverseTooLargeError
 from oracles import (
     all_assignments,
     random_family,
+    slow_check_claim,
     slow_colorable,
     slow_colorings,
     slow_domination_orphans,
@@ -625,6 +627,25 @@ class TestWeightOneAudit:
         table = analysis.MultiplicityTable(family)
         assert peak < 4 * table.counts.nbytes
 
+    def test_constant_table_balances_every_subset_without_a_scatter(self):
+        # The decision chain on 24 vertices: map k sets vertices 0..k-1 to 1
+        # and vertex k to 0, and the last map sets all 24 to 1.  Its maps are
+        # long, so a scatter over their subsets would take minutes.
+        n = 24
+        chain = [[(j, 1) for j in range(k)] + [(k, 0)] for k in range(n)]
+        family = fam(*chain, [(j, 1) for j in range(n)])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            audit = analysis.weight_one_audit(family)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit.verdict == "consistent"
+        assert elapsed < 5
+        assert peak < 4 * (1 << n)  # the table holds one uint8 per coloring
+
     def test_no_separate_audit_limit(self, monkeypatch):
         monkeypatch.setenv("DPCOVER_AUDIT_LIMIT", "6")
         family = constructions.parity_gadget(4).family  # 8 vertices
@@ -760,6 +781,100 @@ class TestClaimChecking:
         assert analysis.check_claim(
             nine, {"kind": "constant-side", "left": [0, 1, 2], "right": [3, 4, 5]}
         ).ok
+
+    @pytest.mark.parametrize(
+        "gadget,claim,message",
+        [
+            ("parity", {"kind": "no-coloring"}, "coloring 6 avoids every map"),
+            (
+                "neq",
+                {"kind": "forces-equal", "vertices": [3, 4]},
+                "coloring 8 is not constant there",
+            ),
+            ("eq", {"kind": "forces-distinct", "vertices": [3, 4]}, "coloring 1 agrees on the pair"),
+            (
+                "parity",
+                {"kind": "pair-disagreement", "pairs": [[0, 2], [1, 2], [0, 3]]},
+                "coloring 6 agrees on pair [1, 2]",
+            ),
+            (
+                "parity",
+                {"kind": "odd-ones", "vertices": [0]},
+                "coloring 6 has an even number of ones there",
+            ),
+            (
+                "parity",
+                {"kind": "odd-ones", "vertices": []},
+                "coloring 6 has an even number of ones there",
+            ),
+            (
+                "copy",
+                {"kind": "constant-implies-constant", "src": [3, 4, 5], "dst": [0, 1, 2]},
+                "coloring 1 is constant on src, not on dst",
+            ),
+            (
+                "copy",
+                {"kind": "never-both-constant", "left": [0, 1, 2], "right": [3, 4, 5]},
+                "coloring 0 is constant on both sides",
+            ),
+            (
+                "two",
+                {"kind": "constant-side", "left": [0, 1, 2], "right": [3, 4, 5]},
+                "coloring 9 is constant on neither side",
+            ),
+        ],
+    )
+    def test_fail_line_of_each_counterexample_kind(self, gadget, claim, message):
+        family = {
+            "parity": constructions.parity_gadget(2),  # avoiders 6 and 9
+            "neq": constructions.k54_neq_cover(),
+            "eq": constructions.k54_eq_cover(),
+            "copy": constructions.copy_gadget((0, 1, 2), (3, 4, 5)),
+            "two": constructions.two_edge_gadget(),
+        }[gadget].family
+        expected = analysis.ClaimResult(claim["kind"], False, message)
+        assert analysis.check_claim(family, claim) == expected
+        assert analysis.check_claims(family, [claim]) == (expected,)
+
+    def test_counterexample_kinds_match_the_reference(self, rng):
+        gadgets = [
+            constructions.k54_neq_cover(),
+            constructions.k54_eq_cover(),
+            constructions.copy_gadget((0, 1, 2), (3, 4, 5)),
+            constructions.two_edge_gadget(),
+            constructions.nine_edge_gadget(),
+            constructions.parity_gadget(3),
+            constructions.binary_family(3),
+        ]
+        families = [g.family for g in gadgets] + [
+            random_family(rng, max_vertices=6, max_maps=5, min_map_size=2) for _ in range(20)
+        ]
+        seen = set()
+        for family in families:
+            universe = family.universe
+
+            def ids(k=None):
+                k = rng.randint(0, 4) if k is None else k
+                return [rng.choice(universe) if rng.random() < 0.95 else -1 for _ in range(k)]
+
+            for _ in range(20):
+                claims = [
+                    {"kind": "no-coloring"},
+                    {"kind": "forces-equal", "vertices": ids()},
+                    {"kind": "forces-distinct", "vertices": ids(2)},
+                    {"kind": "pair-disagreement", "pairs": [ids(2) for _ in range(rng.randint(0, 3))]},
+                    {"kind": "odd-ones", "vertices": ids()},
+                    {"kind": "constant-implies-constant", "src": ids(), "dst": ids()},
+                    {"kind": "never-both-constant", "left": ids(), "right": ids()},
+                    {"kind": "constant-side", "left": ids(), "right": ids()},
+                ]
+                for claim in claims:
+                    result = analysis.check_claim(family, claim)
+                    assert result == slow_check_claim(family, claim), claim
+                    seen.add((claim["kind"], result.ok, "outside" in result.message))
+        # Every kind passed, failed at a coloring, and, but for no-coloring,
+        # failed at a vertex outside the universe.
+        assert len(seen) == 3 * 8 - 1
 
     def test_sampled_claim(self):
         family = constructions.binary_family(3).family

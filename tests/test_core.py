@@ -1,5 +1,6 @@
 """Value types and structural predicates."""
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from dpcover.core import (
 )
 from dpcover.errors import DuplicateMapError, DuplicateVertexError, OutOfUniverseError
 
-from oracles import random_family
+from oracles import random_family, slow_make_partial_map
 
 
 def pm(*pairs):
@@ -50,6 +51,15 @@ class TestPartialMap:
             pm((-1, 0))
         with pytest.raises(ValueError):
             pm((0, 2))
+
+    def test_lone_one_shot_pair_raises_what_the_reference_raises(self):
+        # The duplicate scan unpacks the iterator, so the check finds it empty.
+        expected = "not enough values to unpack (expected 2, got 0)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            slow_make_partial_map([iter((0, 1))])
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            make_partial_map([iter((0, 1))])
+        assert make_partial_map([[1, 0]]) == slow_make_partial_map([[1, 0]])
 
     def test_complement_involution(self):
         phi = pm((0, 0), (1, 1))

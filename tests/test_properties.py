@@ -1,14 +1,16 @@
 """Property tests: serialize/parse round trips, CNF export, entry types, and
-the constructors, parser and canonical keys against their references in
-`oracles`."""
+the constructors, parser, canonical keys and claim checks against their
+references in `oracles`."""
 import gc
 import json
+import os
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dpcover.analysis import check_claim, check_claims
 from dpcover.cli import export_cnf, parse, serialize
 from dpcover.core import Family, make_partial_map
 from dpcover.errors import EmptyMapPresentError
@@ -16,6 +18,7 @@ from dpcover.search import _key_of_entries
 
 from oracles import (
     cnf_satisfiable,
+    slow_check_claim,
     slow_colorable,
     slow_family_of,
     slow_key_of_entries,
@@ -34,8 +37,8 @@ vertex_ids = st.one_of(
 )
 
 
-def families(vertices=vertex_ids, max_entries=4, max_maps=6):
-    maps = st.dictionaries(vertices, st.integers(0, 1), max_size=max_entries)
+def families(vertices=vertex_ids, max_entries=4, max_maps=6, min_entries=0):
+    maps = st.dictionaries(vertices, st.integers(0, 1), min_size=min_entries, max_size=max_entries)
     return st.lists(
         maps, max_size=max_maps, unique_by=lambda d: tuple(sorted(d.items()))
     ).map(lambda ms: Family.of(make_partial_map(m.items()) for m in ms))
@@ -278,3 +281,113 @@ key_inputs = st.one_of(
 @example([((0, 0),), ((0, 1),)])
 def test_key_of_entries_matches_the_reference(maps):
     assert outcome(_key_of_entries, maps) == outcome(slow_key_of_entries, maps)
+
+
+# Claims of every kind: each field a kind reads is there or missing, and of
+# its own type or not.  One vertex id in ten is 6, which the universe, a
+# subset of 0 .. 5, never holds; the others come from the universe.
+mistyped = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.text(max_size=2),
+    st.lists(st.one_of(st.integers(0, 6), st.booleans(), st.text(max_size=1)), max_size=3),
+    st.lists(st.lists(st.integers(0, 6), max_size=3), max_size=3),
+)
+
+
+def pick(*options):
+    return st.sampled_from(options).flatmap(lambda s: s)
+
+
+def claims(universe):
+    ids = pick(*[st.sampled_from(universe) if universe else st.just(6)] * 9, st.just(6))
+    vs = st.sampled_from([2, 0, 1, 2, 3]).flatmap(lambda k: st.lists(ids, min_size=k, max_size=k))
+    vs = st.one_of(vs, vs.map(tuple))
+    pairs = st.lists(st.lists(ids, min_size=2, max_size=2), max_size=3)
+    number = st.integers(-1, 20)
+    fields = {
+        "map-count": {"value": number},
+        "universe-size": {"value": number},
+        "uniform": {"r": st.integers(0, 3)},
+        "unary": {},
+        "binary": {},
+        "valid-cover": {"edges": st.integers(0, 4)},
+        "weight": {"value": st.sampled_from(["0", "1/2", "1"])},
+        "transversal-domains": {"pairs": pairs},
+        "sampled-no-coloring": {"trials": st.integers(0, 20), "seed": st.integers(0, 3)},
+        "multiplicity-histogram": {
+            "histogram": st.dictionaries(
+                st.sampled_from(["0", "1", "2"]), st.integers(0, 64), max_size=3
+            )
+        },
+        "no-coloring": {},
+        "colorable": {},
+        "coloring-count": {"value": number},
+        "forces-equal": {"vertices": vs},
+        "forces-distinct": {"vertices": st.lists(ids, min_size=2, max_size=2)},
+        "pair-disagreement": {"pairs": pairs},
+        "odd-ones": {"vertices": vs},
+        "constant-implies-constant": {"src": vs, "dst": vs},
+        "never-both-constant": {"left": vs, "right": vs},
+        "constant-side": {"left": vs, "right": vs},
+        "mystery": {"vertices": vs},
+    }
+
+    def of_kind(kind):
+        # Three in four fields are well typed; one in three claims may lack some.
+        own = {name: pick(good, good, good, mistyped) for name, good in fields[kind].items()}
+        every = st.fixed_dictionaries({"kind": st.just(kind), **own})
+        return pick(every, every, st.fixed_dictionaries({"kind": st.just(kind)}, optional=own))
+
+    return st.sampled_from(list(fields)).flatmap(of_kind)
+
+
+# Maps of two or three entries leave most families colorable.
+family_with_claims = st.one_of(
+    families(vertices=st.integers(0, 5), max_entries=3, max_maps=6),
+    families(vertices=st.integers(0, 5), max_entries=3, max_maps=4, min_entries=2),
+).flatmap(
+    lambda family: st.tuples(
+        st.just(family), st.lists(claims(family.universe), min_size=1, max_size=4)
+    )
+)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(family_with_claims, st.sampled_from([None, "2"]))
+@example(
+    (Family.of([make_partial_map([(0, 0)])]), [{"kind": "odd-ones", "vertices": []}]), None
+)
+@example(
+    (
+        Family.of([make_partial_map([(0, 0), (1, 1), (2, 0)])]),
+        [{"kind": "pair-disagreement", "pairs": []}, {"kind": "forces-equal", "vertices": [0, 9]}],
+    ),
+    "2",
+)
+@example(
+    (
+        Family.of([make_partial_map([(0, 0), (1, 1), (2, 0)])]),
+        [{"kind": "pair-disagreement", "pairs": [[0, 1], [1, 9]]}],
+    ),
+    "2",
+)
+def test_check_claim_matches_the_reference(family_and_claims, table_limit):
+    """check_claim and check_claims give what slow_check_claim gives: the
+    same result, or the same exception type and message; under a table
+    limit of 2, so do the kinds that would build a table too large."""
+    family, claim_list = family_and_claims
+    saved = os.environ.get("DPCOVER_PARITY_LIMIT")
+    if table_limit is not None:
+        os.environ["DPCOVER_PARITY_LIMIT"] = table_limit
+    try:
+        for claim in claim_list:
+            assert outcome(check_claim, family, claim) == outcome(slow_check_claim, family, claim)
+        expected = outcome(lambda: tuple(slow_check_claim(family, c) for c in claim_list))
+        assert outcome(check_claims, family, claim_list) == expected
+    finally:
+        if saved is None:
+            os.environ.pop("DPCOVER_PARITY_LIMIT", None)
+        else:
+            os.environ["DPCOVER_PARITY_LIMIT"] = saved

@@ -1,5 +1,6 @@
 """Canonical keys, the exhaustive minimality search, and bound bracketing."""
 import itertools
+import math
 
 import pytest
 
@@ -273,6 +274,23 @@ class TestCompletionAgainstOracle:
         for rep in [(0,), (0, 4), (0, 4, 8)]:
             assert search._completion_dfs(pool, rep, len(rep)) == (None, None, 0)
             assert slow_completion_dfs(pool, rep, len(rep)) == (None, None, 0)
+
+
+class TestPool:
+    @pytest.mark.parametrize("r,n", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (3, 6)])
+    def test_kill_masks_match_brute_force(self, r, n):
+        pool = search._Pool(r, n)
+        assert len(pool.maps) == len(pool.kill) == math.comb(n, r) << r
+        assignments = list(oracles.all_assignments(range(n)))
+        for entries, kill in zip(pool.maps, pool.kill):
+            phi = make_partial_map(entries)
+            want = sum(
+                1 << sum(bit << v for v, bit in f.items())
+                for f in assignments
+                if oracles.contains(f, phi)
+            )
+            assert kill == want, entries
+        assert pool.full == (1 << (1 << n)) - 1
 
 
 class TestRunningBestBudget:
