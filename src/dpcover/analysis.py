@@ -3,13 +3,24 @@
 Colorings over a sorted n-vertex universe are the integers 0 .. 2^n - 1 (bit i
 colors the i-th vertex).  Every exhaustive verdict reads one kernel: the
 multiplicity of each code, i.e. how many maps it contains.  The kernel works
-on chunks of 2^k codes that share their high n - k bits.  A map whose high
-entries disagree with the chunk is skipped; every other map adds 1 on the
-subcube its low entries fix in the chunk's (2,)*k view.  A map phi costs
-2^(k - |phi's low entries|) per chunk, so a whole pass costs w(F) * 2^n cell
-updates.  Counts use the smallest unsigned dtype that holds len(family), since
-no code lies in more maps than that.  All weights are exact Fractions whose
-denominators are powers of two.
+on chunks of 2^j codes that share their high n - j bits.  A map whose high
+entries disagree with the chunk is skipped; every other map adds to the
+subcube its low entries fix in the chunk.  Counts use the smallest unsigned
+dtype that holds len(family), since no code lies in more maps than that, so
+the cells of one 64-bit word can be added in one operation without carries:
+the lowest code bits pick a lane of the word (8 lanes at uint8, 4 at uint16,
+2 at uint32), and a map adds a word with a 1 in each lane its low entries
+match.  A whole pass costs w(F) * 2^n cell updates divided by the lanes per
+word, plus one operation per (map, chunk) pair that the map's high entries
+let through.
+
+Chunks hold at most chunk_size codes (DEFAULT_CHUNK = 2^20).  Full passes
+(the count, avoiding_codes, MultiplicityTable) take chunks of that size.  A
+first-witness scan takes [0, 2^12) first and then [2^j, 2^(j + 1)) for
+j = 12, 13, ... up to that size, so its cost follows where the witness
+lies; the chunks are ascending either way, so the witness is the smallest
+avoiding code.  All weights are exact Fractions whose denominators are
+powers of two.
 
 Two size limits guard the enumeration, each overridable only by its
 environment variable: DPCOVER_ENUM_LIMIT (default 30 vertices) for the scan in
@@ -24,9 +35,9 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, product, takewhile
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +54,8 @@ from .errors import OutOfUniverseError, UniverseTooLargeError
 
 DEFAULT_ENUM_LIMIT = 30
 DEFAULT_PARITY_LIMIT = 24
-DEFAULT_CHUNK = 1 << 16
+DEFAULT_CHUNK = 1 << 20
+FIRST_CHUNK = 1 << 12  # a first-witness scan's first chunk; later ones double
 
 
 def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> None:
@@ -59,51 +71,105 @@ def _ranks(universe: Sequence[VertexId]) -> dict[VertexId, int]:
     return {v: i for i, v in enumerate(universe)}
 
 
+@cache
+def _lane_words(dtype: np.dtype, lanes: int) -> tuple[np.dtype, list]:
+    """The unsigned word that packs 2^lanes cells of `dtype`, and one word per
+    (mask, pattern) over the low `lanes` code bits, at index mask << lanes |
+    pattern: 1 in every lane whose code matches pattern on mask.  The words
+    are read from an array of cells, so they hold whatever the byte order."""
+    size = 1 << lanes
+    mask, pattern = np.divmod(np.arange(size * size), size)
+    cells = (np.arange(size) & mask[:, None]) == pattern[:, None]
+    word = np.dtype(f"u{dtype.itemsize << lanes}")
+    return word, list(cells.astype(dtype).view(word).ravel())
+
+
 class _Subcubes:
     """The family's maps as subcubes of the code space, counted chunk by chunk.
 
-    Chunks hold 2^k codes, 2^k the largest power of two not above chunk_size
-    (at most 2^n); `starts` lists their first codes.  Each map keeps its high
-    entries as a (mask, pattern) pair over bits k.. and its low entries as an
-    index into the chunk's (2,)*k view, whose axis k - 1 - i holds bit i.
+    A chunk [lo, lo + 2^j) holds the 2^j codes that share their bits j..
+    (lo is a multiple of 2^j).  Chunks have at most 2^k codes, 2^k the
+    largest power of two not above chunk_size (at most 2^n), and at least
+    2^first, the same power for first_chunk (2^k when it is None): `chunks`
+    lists them from [0, 2^first) on, doubling up to 2^k.
+
+    Cells are added a word at a time.  The lowest `lanes` code bits pick a
+    lane of one unsigned `word` of up to 64 bits (3 bits at uint8, 2 at
+    uint16, 1 at uint32, fewer when 2^first cells fill less than a word), and
+    a chunk is a (2,)*(j - lanes) view of words whose axis j - 1 - i holds
+    bit i.  Each map keeps its entries on bits lanes .. k - 1 as an index
+    into that view at j = k, whose tail serves every smaller j; its entries
+    on bits first.. as a (mask, pattern) pair shifted down by first; and its
+    entries on the lane bits as one word with a 1 in every lane they match.
+    No lane carries into the next: a code lies in at most len(family) maps,
+    and the cell dtype holds that.
     """
 
-    def __init__(self, family: Family, universe: Sequence[VertexId], chunk_size: int):
+    def __init__(
+        self,
+        family: Family,
+        universe: Sequence[VertexId],
+        chunk_size: int,
+        first_chunk: int | None = None,
+    ):
         rank = _ranks(universe)
-        n = len(universe)
+        self.n = n = len(universe)
         self.k = k = min(n, max(chunk_size, 1).bit_length() - 1)
-        self.starts = range(0, 1 << n, 1 << k)
+        self.first = first = k if first_chunk is None else min(k, first_chunk.bit_length() - 1)
         self.dtype = np.min_scalar_type(len(family))
+        self.lanes = lanes = min(first, (8 // self.dtype.itemsize).bit_length() - 1)
+        self.word, lane_words = _lane_words(self.dtype, lanes)
+        top = k - 1
         masks, patterns, self.cubes = [], [], []
-        for m in family.maps:
-            mask = pattern = 0
-            cube: list = [slice(None)] * k
-            for v, bit in m.entries:
-                if v not in rank:
-                    raise OutOfUniverseError(f"vertex {v} not in universe")
-                i = rank[v]
-                if i < k:
-                    cube[k - 1 - i] = bit
-                else:
-                    mask |= 1 << (i - k)
-                    pattern |= bit << (i - k)
-            masks.append(mask)
-            patterns.append(pattern)
-            self.cubes.append(tuple(cube))
-        self.masks = np.array(masks, dtype=np.uint64)
-        self.patterns = np.array(patterns, dtype=np.uint64)
+        try:
+            for m in family.maps:
+                mask = pattern = 0
+                cube: list = [slice(None)] * (k - lanes)
+                for v, bit in m.entries:
+                    i = rank[v]
+                    if lanes <= i < k:
+                        cube[top - i] = bit
+                        if i < first:
+                            continue
+                    mask |= 1 << i
+                    pattern |= bit << i
+                masks.append(mask)
+                patterns.append(pattern)
+                self.cubes.append(tuple(cube))
+        except KeyError as missing:
+            raise OutOfUniverseError(f"vertex {missing.args[0]} not in universe") from None
+        lane = (1 << lanes) - 1
+        self.lane_words = [
+            lane_words[(mask & lane) << lanes | pattern & lane]
+            for mask, pattern in zip(masks, patterns)
+        ]
+        self.masks = np.array([mask >> first for mask in masks], dtype=np.uint64)
+        self.patterns = np.array([pattern >> first for pattern in patterns], dtype=np.uint64)
 
-    def counts(self, lo: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Multiplicity of each code in [lo, lo + 2^k): the one containment kernel.
+    def chunks(self) -> Iterator[tuple[int, int]]:
+        """(lo, j) for each chunk [lo, lo + 2^j), ascending: [0, 2^first),
+        then [2^j, 2^(j + 1)) for j = first, first + 1, ... below k, then
+        chunks of 2^k codes up to 2^n."""
+        lo, j = 0, self.first
+        while lo < 1 << self.n:
+            yield lo, j
+            lo += 1 << j
+            j = min(lo.bit_length() - 1, self.k)
 
-        Adds into `out`, 2^k zeroed cells of `dtype`, or into a new array.
+    def counts(self, lo: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Multiplicity of each code in the chunk [lo, lo + 2^j): the one
+        containment kernel.
+
+        Adds into `out`, 2^j zeroed cells of `dtype`, or into a new array.
         """
         if out is None:
-            out = np.zeros(1 << self.k, dtype=self.dtype)
-        view = out.reshape((2,) * self.k)
-        high = np.uint64(lo >> self.k)
-        for j in np.flatnonzero((high & self.masks) == self.patterns).tolist():
-            view[self.cubes[j]] += 1
+            out = np.zeros(1 << j, dtype=self.dtype)
+        words = out.view(self.word).reshape((2,) * (j - self.lanes))
+        fixed = np.uint64((1 << 64) - (1 << (j - self.first)))  # bits j.., shifted
+        hit = (np.uint64(lo >> self.first) & self.masks) == (self.patterns & fixed)
+        cut = self.k - j
+        for m in np.flatnonzero(hit).tolist():
+            words[self.cubes[m][cut:]] += self.lane_words[m]
         return out
 
 
@@ -145,15 +211,15 @@ def find_coloring(
     universe = family.universe
     n = len(universe)
     _check_size(n, "DPCOVER_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
-    cubes = _Subcubes(family, universe, chunk_size)
+    cubes = _Subcubes(family, universe, chunk_size, None if count else FIRST_CHUNK)
     total = 1 << n
     first: int | None = None
     avoiders = 0
-    for lo in cubes.starts:
-        free = np.flatnonzero(cubes.counts(lo) == 0)
-        avoiders += free.size
-        if first is None and free.size:
-            first = lo + int(free[0])
+    for lo, j in cubes.chunks():
+        counts = cubes.counts(lo, j)
+        avoiders += counts.size - np.count_nonzero(counts)
+        if first is None and avoiders:
+            first = lo + int(np.argmin(counts))  # the first 0, since some cell is 0
             if not count:
                 break
 
@@ -169,7 +235,9 @@ def avoiding_codes(family: Family, *, chunk_size: int = DEFAULT_CHUNK) -> np.nda
     universe = family.universe
     _check_size(len(universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     cubes = _Subcubes(family, universe, chunk_size)
-    return np.concatenate([np.flatnonzero(cubes.counts(lo) == 0) + lo for lo in cubes.starts])
+    return np.concatenate(
+        [np.flatnonzero(cubes.counts(lo, j) == 0) + lo for lo, j in cubes.chunks()]
+    )
 
 
 @dataclass(frozen=True)
@@ -453,8 +521,8 @@ class MultiplicityTable:
         self.n = n
         cubes = _Subcubes(family, amb, chunk_size)
         self.counts = np.zeros(1 << n, dtype=cubes.dtype)
-        for lo in cubes.starts:
-            cubes.counts(lo, self.counts[lo : lo + (1 << cubes.k)])
+        for lo, j in cubes.chunks():
+            cubes.counts(lo, j, self.counts[lo : lo + (1 << j)])
 
     def multiplicity(self, bits: int) -> int:
         return int(self.counts[bits])
@@ -809,17 +877,22 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         return ok() if got == want else fail(f"histogram {got}, expected {want}")
 
     def counterexample(
-        lists: Sequence[Sequence[VertexId]], bad: Callable[..., np.ndarray], message: str
+        lists: Sequence[Sequence[VertexId]], *checks: tuple[Callable[..., np.ndarray], str]
     ) -> ClaimResult:
         """FAIL at the first avoiding coloring that bad(codes, *ranks of lists)
-        marks; every list is checked against the universe before scope.codes
+        marks, for the first (bad, message) check that marks one.  Every list
+        is checked against the universe and ranked once, before scope.codes
         is read."""
         rank = scope.rank
         if any(v not in rank for vs in lists for v in vs):
             return fail("claim mentions a vertex outside the universe")
-        codes = scope.codes
-        hit = bad(codes, *([rank[v] for v in vs] for vs in lists))
-        return fail(f"coloring {int(codes[np.argmax(hit)])} {message}") if hit.any() else ok()
+        ranks = [[rank[v] for v in vs] for vs in lists]
+        for bad, message in checks:
+            codes = scope.codes
+            hit = bad(codes, *ranks)
+            if hit.any():
+                return fail(f"coloring {int(codes[np.argmax(hit)])} {message}")
+        return ok()
 
     # The remaining kinds quantify over the family's avoiding colorings,
     # scope.codes, which each reads only once its fields check out.
@@ -829,45 +902,52 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         want, got = field("value", int), scope.codes.size
         return ok() if got == want else fail(f"{got} colorings, expected {want}")
     if kind == "no-coloring":
-        return counterexample([], lambda c: np.ones(c.shape, dtype=bool), "avoids every map")
+        return counterexample([], (lambda c: np.ones(c.shape, dtype=bool), "avoids every map"))
     if kind == "forces-equal":
         vs = vertices("vertices")
-        return counterexample([vs], lambda c, r: ~_is_constant(c, r), "is not constant there")
+        return counterexample([vs], (lambda c, r: ~_is_constant(c, r), "is not constant there"))
     if kind == "forces-distinct":
-        return counterexample([vertices("vertices", 2)], _is_constant, "agrees on the pair")
+        return counterexample([vertices("vertices", 2)], (_is_constant, "agrees on the pair"))
     if kind == "pair-disagreement":
-        # Pair by pair in order; each call checks them all against the universe.
         ps = pairs("pairs")
-        for i, pair in enumerate(ps):
-            result = counterexample(
-                ps, lambda c, *rs: _is_constant(c, rs[i]), f"agrees on pair {pair}"
-            )
-            if not result.ok:
-                return result
-        return ok()
+        return counterexample(
+            ps,
+            *(
+                (lambda c, *rs, i=i: _is_constant(c, rs[i]), f"agrees on pair {pair}")
+                for i, pair in enumerate(ps)
+            ),
+        )
     if kind == "odd-ones":
         return counterexample(
             [vertices("vertices")],
-            lambda c, r: sum(((c >> b) & 1 for b in r), np.zeros_like(c)) % 2 == 0,
-            "has an even number of ones there",
+            (
+                lambda c, r: sum(((c >> b) & 1 for b in r), np.zeros_like(c)) % 2 == 0,
+                "has an even number of ones there",
+            ),
         )
     if kind == "constant-implies-constant":
         return counterexample(
             [vertices("src"), vertices("dst")],
-            lambda c, s, d: _is_constant(c, s) & ~_is_constant(c, d),
-            "is constant on src, not on dst",
+            (
+                lambda c, s, d: _is_constant(c, s) & ~_is_constant(c, d),
+                "is constant on src, not on dst",
+            ),
         )
     if kind == "never-both-constant":
         return counterexample(
             [vertices("left"), vertices("right")],
-            lambda c, left, right: _is_constant(c, left) & _is_constant(c, right),
-            "is constant on both sides",
+            (
+                lambda c, left, right: _is_constant(c, left) & _is_constant(c, right),
+                "is constant on both sides",
+            ),
         )
     if kind == "constant-side":
         return counterexample(
             [vertices("left"), vertices("right")],
-            lambda c, left, right: ~(_is_constant(c, left) | _is_constant(c, right)),
-            "is constant on neither side",
+            (
+                lambda c, left, right: ~(_is_constant(c, left) | _is_constant(c, right)),
+                "is constant on neither side",
+            ),
         )
 
     return fail(f"unknown claim kind {kind!r}")

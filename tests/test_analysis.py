@@ -405,13 +405,14 @@ class TestKernelAgainstOracles:
     """The table, the avoiding codes and the full count read one chunked kernel.
 
     Chunk sizes below 2^n split the code space; sizes that are not powers of
-    two round down to one.
+    two round down to one.  A uint8 word holds 8 cells and a uint16 word 4,
+    so 4, 8 and 16 (2, 4 and 8) are chunks below, at and above one word.
     """
 
-    CHUNKS = (1, 3, 8, 1 << 16)
+    CHUNKS = (1, 3, 4, 8, 16, analysis.DEFAULT_CHUNK)
 
     @staticmethod
-    def check(family, ambient=None, chunk_size=1 << 16):
+    def check(family, ambient=None, chunk_size=analysis.DEFAULT_CHUNK):
         want = slow_multiplicities(family, ambient)
         table = analysis.MultiplicityTable(family, ambient, chunk_size=chunk_size)
         assert table.counts.tolist() == want
@@ -457,7 +458,7 @@ class TestKernelAgainstOracles:
         ]
         family = fam(*zeros)
         assert len(family) == 511
-        for chunk_size in (8, 1 << 16):
+        for chunk_size in (2, 4, 8, analysis.DEFAULT_CHUNK):
             self.check(family, chunk_size=chunk_size)
         table = analysis.MultiplicityTable(family)
         assert table.multiplicity(0) == table.max() == 511
@@ -470,6 +471,73 @@ class TestKernelAgainstOracles:
         many = fam(*([(v, 0), (w, 1)] for v in range(17) for w in range(17) if v != w))
         assert len(many) == 272
         assert analysis.MultiplicityTable(many).counts.dtype == np.uint16
+
+    def test_uint16_chunks_across_one_word(self):
+        # 2^17 codes, so a whole pass in chunks of a few cells takes seconds:
+        # the kernel counts the first and last 2^8 codes and some chunks
+        # between, against a vectorised brute force.
+        many = fam(*([(v, 0), (w, 1)] for v in range(17) for w in range(17) if v != w))
+        codes = np.arange(1 << 17)
+        want = np.zeros(codes.size, dtype=np.int64)
+        for m in many.maps:
+            mask = sum(1 << v for v, _ in m.entries)
+            pattern = sum(b << v for v, b in m.entries)
+            want += (codes & mask) == pattern
+        for chunk_size in (2, 4, 8):
+            cubes = analysis._Subcubes(many, many.universe, chunk_size)
+            assert cubes.dtype == np.uint16
+            for lo, j in cubes.chunks():
+                if lo < 1 << 8 or lo >= (1 << 17) - (1 << 8) or lo % 4099 < chunk_size:
+                    counts = cubes.counts(lo, j)
+                    assert counts.dtype == np.uint16 and counts.size == 1 << j
+                    assert (counts == want[lo : lo + (1 << j)]).all()
+        assert (analysis.MultiplicityTable(many).counts == want).all()
+
+    @staticmethod
+    def first_code_family(n, first):
+        """A family on vertices 0 .. n-1 whose smallest avoiding code is
+        `first`, or with no avoiding code when first is None: for each bit i
+        set in first, a map that agrees with first above i and puts 0 at i,
+        and a map on every vertex that rules out one other code."""
+        code = (1 << n) - 1 if first is None else first
+        maps = [
+            [(j, code >> j & 1) for j in range(i + 1, n)] + [(i, 0)]
+            for i in range(n)
+            if code >> i & 1
+        ]
+        other = code if first is None else (code + 1) % (1 << n)
+        maps.append([(j, other >> j & 1) for j in range(n)])
+        return fam(*maps)
+
+    def test_first_witness_across_growing_chunks(self):
+        # 14 vertices: first-witness scans take [0, 2^12), [2^12, 2^13) and
+        # [2^13, 2^14); with a cap of 2^12 or 8 the chunks stop growing.
+        n, k = 14, analysis.FIRST_CHUNK.bit_length() - 1
+        for first in (0, (1 << k) - 1, 1 << k, (1 << k + 1) - 1, 1 << k + 1, (1 << n) - 1, None):
+            family = self.first_code_family(n, first)
+            free = [code for code, m in enumerate(slow_multiplicities(family)) if m == 0]
+            assert (free[0] if free else None) == first
+            for chunk_size in (8, 1 << k, analysis.DEFAULT_CHUNK):
+                report = analysis.find_coloring(family, chunk_size=chunk_size)
+                if first is None:
+                    assert report.witness is None and report.enumerated == 1 << n
+                else:
+                    assert report.witness == Coloring(family.universe, first)
+                    assert report.enumerated == first + 1
+
+    def test_count_mode_holds_one_chunk(self):
+        # 2^20 - 1 avoiders in one chunk of 2^20 one-byte cells: counting them
+        # allocates no index per avoider.
+        chunk = 1 << 20
+        family = fam([(v, 1) for v in range(20)])
+        tracemalloc.start()
+        try:
+            report = analysis.find_coloring(family, count=True, chunk_size=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.coloring_count == chunk - 1 and report.witness.bits == 0
+        assert peak < 2 * chunk
 
     def test_signed_sum_below_zero(self):
         # Unsigned counts must not wrap: only codes with bit 0 set hold the map.
