@@ -217,7 +217,7 @@ def find_coloring(
     avoiders = 0
     for lo, j in cubes.chunks():
         counts = cubes.counts(lo, j)
-        avoiders += counts.size - np.count_nonzero(counts)
+        avoiders += counts.size - int(np.count_nonzero(counts))
         if first is None and avoiders:
             first = lo + int(np.argmin(counts))  # the first 0, since some cell is 0
             if not count:

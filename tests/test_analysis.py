@@ -421,7 +421,7 @@ class TestKernelAgainstOracles:
         free = [code for code, m in enumerate(want) if m == 0]
         assert analysis.avoiding_codes(family, chunk_size=chunk_size).tolist() == free
         report = analysis.find_coloring(family, count=True, chunk_size=chunk_size)
-        assert report.coloring_count == len(free)
+        assert report.coloring_count == len(free) and type(report.coloring_count) is int
         assert report.witness == (Coloring(family.universe, free[0]) if free else None)
         assert report.enumerated == len(want)
         first = analysis.find_coloring(family, chunk_size=chunk_size)
