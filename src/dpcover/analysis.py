@@ -31,7 +31,6 @@ parity_identity, weight_one_audit and the claims.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,23 +120,20 @@ class _Subcubes:
         self.word, lane_words = _lane_words(self.dtype, lanes)
         top = k - 1
         masks, patterns, self.cubes = [], [], []
-        try:
-            for m in family.maps:
-                mask = pattern = 0
-                cube: list = [slice(None)] * (k - lanes)
-                for v, bit in m.entries:
-                    i = rank[v]
-                    if lanes <= i < k:
-                        cube[top - i] = bit
-                        if i < first:
-                            continue
-                    mask |= 1 << i
-                    pattern |= bit << i
-                masks.append(mask)
-                patterns.append(pattern)
-                self.cubes.append(tuple(cube))
-        except KeyError as missing:
-            raise OutOfUniverseError(f"vertex {missing.args[0]} not in universe") from None
+        for m in family.maps:
+            mask = pattern = 0
+            cube: list = [slice(None)] * (k - lanes)
+            for v, bit in m.entries:
+                i = rank[v]
+                if lanes <= i < k:
+                    cube[top - i] = bit
+                    if i < first:
+                        continue
+                mask |= 1 << i
+                pattern |= bit << i
+            masks.append(mask)
+            patterns.append(pattern)
+            self.cubes.append(tuple(cube))
         lane = (1 << lanes) - 1
         self.lane_words = [
             lane_words[(mask & lane) << lanes | pattern & lane]
@@ -426,8 +422,8 @@ def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleRepo
     Zero counterexamples is evidence (not proof) of non-colorability.  The
     report is a pure function of (family, trials, seed); buffers come from a
     counter-based generator so wide universes stay cheap to sample.  The
-    stream is drawn in blocks of at most 2 MiB, and whole blocks are gathered
-    until `_WALK_TRIALS` colorings can be walked together.  A negative
+    stream is drawn in blocks of at most 2 MiB, and each block is walked as
+    it is drawn, `_WALK_TRIALS` colorings at a time.  A negative
     `trials` or `seed` raises ValueError.
     """
     if trials < 0:
@@ -442,21 +438,11 @@ def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleRepo
     counterexamples = 0
     first: Coloring | None = None
     block_trials = max(1, min(trials, (1 << 21) // max(1, nbytes)))
-    per_walk = max(1, _WALK_TRIALS // block_trials) * block_trials
-    rows = np.empty((min(trials, per_walk), nbytes), dtype=np.uint8)
-    done = 0
-    while done < trials:
-        filled = 0
-        while done < trials and filled < len(rows):
-            batch = min(block_trials, trials - done)
-            if nbytes:
-                block = _stream_bytes(rng, batch * nbytes)
-                rows[filled : filled + batch] = block.reshape(batch, nbytes)
-            filled += batch
-            done += batch
-        for lo in range(0, filled, _WALK_TRIALS):
-            walked = rows[lo : min(lo + _WALK_TRIALS, filled)]
-            misses = np.flatnonzero(~index.contained(walked))
+    for done in range(0, trials, block_trials):
+        batch = min(block_trials, trials - done)
+        rows = _stream_bytes(rng, batch * nbytes).reshape(batch, nbytes)
+        for lo in range(0, batch, _WALK_TRIALS):
+            misses = np.flatnonzero(~index.contained(rows[lo : lo + _WALK_TRIALS]))
             counterexamples += misses.size
             if first is None and misses.size:
                 bits = int.from_bytes(rows[lo + misses[0]].tobytes(), "little")
@@ -713,14 +699,13 @@ def domination_orphans(family: Family) -> tuple[PartialMap, ...]:
     Non-colorable weight-1 families have none: every map's domain sits inside
     another member's domain.
     """
-    count = Counter(m.domain for m in family.maps)
-    sets = {d: frozenset(d) for d in count}
+    sets = {d: frozenset(d) for d, _ in family.domains}
     larger_first = sorted(sets.values(), key=len, reverse=True)
     orphan = {
         d
-        for d, s in sets.items()
-        if count[d] == 1  # no other map shares the domain
-        and not any(s < o for o in takewhile(lambda o: len(o) > len(s), larger_first))
+        for d, group in family.domains
+        if len(group) == 1  # no other map shares the domain
+        and not any(sets[d] < o for o in takewhile(lambda o: len(o) > len(d), larger_first))
     }
     return tuple(m for m in family.maps if m.domain in orphan)
 
@@ -728,21 +713,14 @@ def domination_orphans(family: Family) -> tuple[PartialMap, ...]:
 def complement_pair_parity_mismatches(family: Family) -> tuple[tuple[VertexId, ...], ...]:
     """Edges carrying a complementary map pair whose entry sums differ mod 2.
 
-    For even edge sizes there can be none: flipping every bit on an
-    even-size domain preserves the sum's parity.
+    A complementary pair on d has entry sums s and |d| - s, which differ mod 2
+    exactly when |d| is odd; for even edge sizes there can be none.
     """
-    by_domain: dict[tuple[VertexId, ...], list[PartialMap]] = {}
-    for m in family.maps:
-        by_domain.setdefault(m.domain, []).append(m)
-    bad = []
-    for domain in sorted(by_domain, key=lambda d: (len(d), d)):
-        group = by_domain[domain]
-        if len(group) == 2 and group[0] == group[1].complement():
-            s0 = sum(b for _, b in group[0].entries)
-            s1 = sum(b for _, b in group[1].entries)
-            if (s0 - s1) % 2:
-                bad.append(domain)
-    return tuple(bad)
+    return tuple(
+        d
+        for d, group in family.domains
+        if len(d) % 2 and len(group) == 2 and group[0] == group[1].complement()
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -864,7 +842,7 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         return ok() if got == want else fail(f"weight {got}, expected {want}")
     if kind == "transversal-domains":
         want = {tuple(sorted(choice)) for choice in product(*pairs("pairs"))}
-        got = {m.domain for m in family.maps}
+        got = {d for d, _ in family.domains}
         return ok() if got == want else fail("domains differ from the pair transversals")
     if kind == "sampled-no-coloring":
         rep = sample_noncolorability(family, field("trials", int), field("seed", int))

@@ -12,7 +12,6 @@ and pure.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -194,10 +193,19 @@ class Family:
         hypergraph; computed once per family."""
         return _profile(self, domain_hypergraph(self))
 
+    @cached_property
+    def domains(self) -> tuple[tuple[tuple[VertexId, ...], tuple[PartialMap, ...]], ...]:
+        """(domain, maps) for each domain, domains by size then vertices and
+        each domain's maps in family order; computed once per family."""
+        groups: dict[tuple[VertexId, ...], list[PartialMap]] = {}
+        for m in self.maps:
+            groups.setdefault(m.domain, []).append(m)
+        return tuple((d, tuple(groups[d])) for d in sorted(groups, key=_edge_order))
+
 
 def domain_hypergraph(family: Family) -> Hypergraph:
     """The hypergraph whose edges are the domains of the family's maps."""
-    return Hypergraph.of(m.domain for m in family.maps)
+    return Hypergraph(tuple(d for d, _ in family.domains))
 
 
 @dataclass(frozen=True)
@@ -276,18 +284,11 @@ def classify(family: Family, candidate: Hypergraph | None = None) -> FamilyProfi
 def _profile(family: Family, target: Hypergraph) -> FamilyProfile:
     sizes = {len(m) for m in family.maps}
     uniformity = sizes.pop() if len(sizes) == 1 else None
-
-    by_domain: dict[tuple[VertexId, ...], list[PartialMap]] = {}
-    for m in family.maps:
-        by_domain.setdefault(m.domain, []).append(m)
-    counts = Counter({d: len(ms) for d, ms in by_domain.items()})
-    is_unary = all(c == 1 for c in counts.values())
-    is_binary = all(c <= 2 for c in counts.values())
+    most = max((len(group) for _, group in family.domains), default=0)
 
     edge_set = set(target.edges)
     violation: tuple[str, tuple[VertexId, ...]] | None = None
-    for domain in sorted(by_domain, key=lambda d: (len(d), d)):
-        group = by_domain[domain]
+    for domain, group in family.domains:
         if domain not in edge_set:
             violation = ("domain-not-in-hypergraph", domain)
             break
@@ -300,8 +301,8 @@ def _profile(family: Family, target: Hypergraph) -> FamilyProfile:
 
     return FamilyProfile(
         uniformity=uniformity,
-        is_unary=is_unary,
-        is_binary=is_binary,
+        is_unary=most <= 1,
+        is_binary=most <= 2,
         cover_of=target if violation is None else None,
         cover_violation=violation,
         universe_size=len(family.universe),

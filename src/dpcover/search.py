@@ -330,7 +330,9 @@ def search_min_unary(
     examined = 0
     classes_seen = 0
     level: list[tuple[tuple[int, ...], int, bytes]] = [((), pool.full, b"")]
-    witnesses: list[tuple[bytes, tuple[int, ...]]] = []
+    # No family of at most _CANONICAL_DEPTH maps is non-colorable here: at
+    # r >= 2 its weight is at most 3/4, and at r = 1 each vertex's one map
+    # forbids one of its two colors.  So phase 1 finds no witness.
     for size in range(1, depth + 1):
         seen: dict[bytes, None] = {}
         next_level: list[tuple[tuple[int, ...], int, bytes]] = []
@@ -346,20 +348,11 @@ def search_min_unary(
                     continue
                 seen[key] = None
                 child_surv = surv & ~pool.kill[idx]
-                if child_surv == 0:
-                    witnesses.append((key, child))
-                    continue
                 remaining = max_size - size
                 if child_surv.bit_count() > remaining * pool.per_map_kill:
                     continue
                 next_level.append((child, child_surv, key))
         classes_seen += len(seen)
-        if witnesses:
-            witnesses.sort()
-            return _finish_report(
-                r, max_size, max_vertices, pool, witnesses[0][1], size,
-                examined, classes_seen,
-            )
         level = next_level
 
     best_size: int | None = None
@@ -373,27 +366,11 @@ def search_min_unary(
             examined += nodes
             if size is not None and (best_size is None or size < best_size):
                 best_size, best_indices = size, indices
-    if best_indices is not None:
-        return _finish_report(
-            r, max_size, max_vertices, pool, best_indices, best_size,
-            examined, classes_seen,
+    if best_indices is None:
+        return MinimalityReport(
+            r, max_size, max_vertices, None, None, examined, classes_seen
         )
-    return MinimalityReport(
-        r, max_size, max_vertices, None, None, examined, classes_seen
-    )
-
-
-def _finish_report(
-    r: int,
-    max_size: int,
-    max_vertices: int,
-    pool: _Pool,
-    indices: tuple[int, ...],
-    size: int,
-    examined: int,
-    classes_seen: int,
-) -> MinimalityReport:
-    witness = pool.family(indices)
+    witness = pool.family(best_indices)
     profile = analysis.classify(witness)
     check = analysis.find_coloring(witness)
     if check.colorable or not profile.is_unary or profile.uniformity != r:
@@ -401,7 +378,7 @@ def _finish_report(
     if analysis.weight(witness) < 1:
         raise RuntimeError("non-colorable witness with weight < 1; internal bug")
     return MinimalityReport(
-        r, max_size, max_vertices, witness, size, examined, classes_seen
+        r, max_size, max_vertices, witness, best_size, examined, classes_seen
     )
 
 

@@ -3,14 +3,18 @@
 Everything here works over explicit dictionaries and Fractions, never over
 integer-coded colorings or numpy arrays, so a bug shared with the library
 implementation would have to be duplicated by hand to go unnoticed.  The
-exception is `slow_check_claim`, a copy of the earlier `check_claim` kept to
-pin its exact results and errors: it reads the library's avoiding codes, and
-`slow_colorings` checks those.
+exceptions are copies of earlier library code kept to pin its exact results
+and errors: `slow_check_claim`, a copy of the earlier `check_claim` (it reads
+the library's avoiding codes, and `slow_colorings` checks those), and
+`slow_classify`, `slow_domain_hypergraph` and
+`slow_complement_pair_parity_mismatches`, which group the maps by domain on
+each call.
 """
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Any, Sequence
@@ -19,7 +23,7 @@ import numpy as np
 
 from dpcover import analysis
 from dpcover.constructions import GadgetOutput
-from dpcover.core import Family, PartialMap, make_partial_map
+from dpcover.core import Family, FamilyProfile, Hypergraph, PartialMap, make_partial_map
 from dpcover.errors import (
     DuplicateMapError,
     DuplicateVertexError,
@@ -112,6 +116,66 @@ def slow_domination_orphans(family: Family) -> tuple[PartialMap, ...]:
             other != phi and set(phi.domain) <= set(other.domain) for other in family.maps
         )
     )
+
+
+def slow_domain_hypergraph(family: Family) -> Hypergraph:
+    """The earlier domain_hypergraph: every map's domain, normalised."""
+    return Hypergraph.of(m.domain for m in family.maps)
+
+
+def slow_classify(family: Family, candidate: Hypergraph | None = None) -> FamilyProfile:
+    """The earlier classify, grouping the maps by domain on each call."""
+    target = slow_domain_hypergraph(family) if candidate is None else candidate
+    sizes = {len(m) for m in family.maps}
+    uniformity = sizes.pop() if len(sizes) == 1 else None
+
+    by_domain: dict[tuple, list[PartialMap]] = {}
+    for m in family.maps:
+        by_domain.setdefault(m.domain, []).append(m)
+    counts = Counter({d: len(ms) for d, ms in by_domain.items()})
+    is_unary = all(c == 1 for c in counts.values())
+    is_binary = all(c <= 2 for c in counts.values())
+
+    edge_set = set(target.edges)
+    violation = None
+    for domain in sorted(by_domain, key=lambda d: (len(d), d)):
+        group = by_domain[domain]
+        if domain not in edge_set:
+            violation = ("domain-not-in-hypergraph", domain)
+            break
+        if len(group) > 2:
+            violation = ("more-than-two-maps-on-edge", domain)
+            break
+        if len(group) == 2 and set(group[0].entries) & set(group[1].entries):
+            violation = ("same-domain-maps-overlap", domain)
+            break
+
+    return FamilyProfile(
+        uniformity=uniformity,
+        is_unary=is_unary,
+        is_binary=is_binary,
+        cover_of=target if violation is None else None,
+        cover_violation=violation,
+        universe_size=len(family.universe),
+        map_count=len(family.maps),
+    )
+
+
+def slow_complement_pair_parity_mismatches(family: Family) -> tuple[tuple, ...]:
+    """The earlier complement_pair_parity_mismatches: the entry sums of each
+    complementary pair, compared mod 2."""
+    by_domain: dict[tuple, list[PartialMap]] = {}
+    for m in family.maps:
+        by_domain.setdefault(m.domain, []).append(m)
+    bad = []
+    for domain in sorted(by_domain, key=lambda d: (len(d), d)):
+        group = by_domain[domain]
+        if len(group) == 2 and group[0] == group[1].complement():
+            s0 = sum(b for _, b in group[0].entries)
+            s1 = sum(b for _, b in group[1].entries)
+            if (s0 - s1) % 2:
+                bad.append(domain)
+    return tuple(bad)
 
 
 def slow_sample(family: Family, trials: int, seed: int) -> tuple[int, dict | None]:

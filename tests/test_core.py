@@ -98,6 +98,24 @@ class TestFamily:
         assert fam == Family.of([pm((4, 1)), pm((0, 0), (2, 1))])
         assert repr(fam) == f"Family(maps={fam.maps!r})"
 
+    def test_domains_group_maps_by_domain_once(self):
+        fam = Family.of([
+            pm((2, 0)), pm((0, 1), (1, 0)), pm((0, 0), (1, 1)), pm((0, 0)),
+            pm(), pm((1, 0), (2, 1)), pm((0, 1), (2, 0)),
+        ])
+        domains = fam.domains
+        assert [d for d, _ in domains] == [(), (0,), (2,), (0, 1), (0, 2), (1, 2)]
+        assert domains[3] == ((0, 1), (pm((0, 0), (1, 1)), pm((0, 1), (1, 0))))
+        for d, group in domains:
+            assert group == tuple(m for m in fam.maps if m.domain == d)
+        assert type(domains) is tuple and all(type(g) is tuple for _, g in domains)
+        with pytest.raises(TypeError):
+            domains[0] = ((), ())  # type: ignore[index]
+        with pytest.raises(AttributeError):
+            fam.domains = ()  # type: ignore[misc]
+        assert fam.domains is domains
+        assert Family.of([]).domains == ()
+
     def test_domain_hypergraph_collapses_shared_domains(self):
         fam = Family.of([pm((0, 0), (1, 0)), pm((0, 1), (1, 1))])
         assert domain_hypergraph(fam).edges == ((0, 1),)

@@ -1,6 +1,6 @@
 """Property tests: serialize/parse round trips, CNF export, entry types, and
-the constructors, parser, canonical keys and claim checks against their
-references in `oracles`."""
+the constructors, parser, canonical keys, claim checks and by-domain
+predicates against their references in `oracles`."""
 import gc
 import json
 import os
@@ -10,16 +10,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpcover.analysis import check_claim, check_claims
+from dpcover.analysis import (
+    check_claim,
+    check_claims,
+    complement_pair_parity_mismatches,
+    domination_orphans,
+)
 from dpcover.cli import export_cnf, parse, serialize
-from dpcover.core import Family, make_partial_map
+from dpcover.core import Family, Hypergraph, classify, domain_hypergraph, make_partial_map
 from dpcover.errors import EmptyMapPresentError
 from dpcover.search import _key_of_entries
 
 from oracles import (
     cnf_satisfiable,
     slow_check_claim,
+    slow_classify,
     slow_colorable,
+    slow_complement_pair_parity_mismatches,
+    slow_domain_hypergraph,
+    slow_domination_orphans,
     slow_family_of,
     slow_key_of_entries,
     slow_make_partial_map,
@@ -159,6 +168,49 @@ def test_family_of_matches_the_reference(entry_sets, rng):
     rng.shuffle(maps)
     assert outcome(Family.of, maps) == outcome(slow_family_of, maps)
     assert outcome(Family.of, iter(maps)) == outcome(slow_family_of, maps)
+
+
+@st.composite
+def grouped_families(draw):
+    """Families of one to three maps on each of a few domains of 0..3
+    vertices out of 0..4: mixed sizes, the empty map and the empty family,
+    same-domain pairs and triples."""
+    domains = draw(st.lists(st.sets(st.integers(0, 4), max_size=3), max_size=5))
+    maps = {}
+    for domain in map(sorted, domains):
+        bits = st.tuples(*[st.integers(0, 1)] * len(domain))
+        for pattern in draw(st.lists(bits, min_size=1, max_size=3, unique=True)):
+            maps[tuple(zip(domain, pattern))] = None
+    return Family.of(make_partial_map(entries) for entries in maps)
+
+
+edge_lists = st.lists(st.sets(st.integers(0, 4), max_size=3), max_size=6)
+
+
+def pm(*pairs):
+    return make_partial_map(pairs)
+
+
+@SETTINGS
+@given(grouped_families(), edge_lists)
+@example(Family.of([]), [])
+@example(Family.of([pm()]), [[]])
+@example(Family.of([pm((0, 0), (1, 1), (2, 0)), pm((0, 1), (1, 0), (2, 1))]), [])
+@example(Family.of([pm((0, 0), (1, 1)), pm((0, 1), (1, 0)), pm((2, 0))]), [[0, 1]])
+@example(Family.of([pm((0, 0)), pm((0, 1)), pm((0, 1), (1, 0)), pm((1, 0), (2, 0))]), [[0]])
+def test_by_domain_predicates_match_the_reference(family, edges):
+    """classify, domain_hypergraph and the by-domain analysis predicates give
+    what the earlier code, which grouped the maps on each call, gives."""
+    candidate = Hypergraph.of(edges)
+    assert outcome(classify, family) == outcome(slow_classify, family)
+    assert outcome(classify, family, candidate) == outcome(slow_classify, family, candidate)
+    own = slow_domain_hypergraph(family)
+    assert outcome(classify, family, own) == outcome(slow_classify, family, own)
+    assert outcome(domain_hypergraph, family) == outcome(slow_domain_hypergraph, family)
+    assert outcome(complement_pair_parity_mismatches, family) == outcome(
+        slow_complement_pair_parity_mismatches, family
+    )
+    assert outcome(domination_orphans, family) == outcome(slow_domination_orphans, family)
 
 
 # Documents for parse: JSON values in every field, valid ones more often.

@@ -293,6 +293,22 @@ class TestPool:
         assert pool.full == (1 << (1 << n)) - 1
 
 
+    @pytest.mark.parametrize("r,n", [(1, 4), (2, 5), (3, 5)])
+    def test_no_three_domain_distinct_maps_leave_no_survivor(self, r, n):
+        """The canonical levels run at most _CANONICAL_DEPTH = 3 maps deep,
+        and no such family is non-colorable, so they never find a witness."""
+        pool = search._Pool(r, n)
+        assert search._CANONICAL_DEPTH == 3
+        for k in (1, 2, 3):
+            for chosen in itertools.combinations(range(len(pool.maps)), k):
+                if len({pool.domain_id[i] for i in chosen}) < k:
+                    continue
+                surv = pool.full
+                for i in chosen:
+                    surv &= ~pool.kill[i]
+                assert surv, [pool.maps[i] for i in chosen]
+
+
 class TestRunningBestBudget:
     """Phase 2 against the full budget for every representative."""
 
