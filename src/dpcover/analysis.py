@@ -45,9 +45,9 @@ from .core import (
     Family,
     PartialMap,
     VertexId,
+    avoids,
     classify,
     colors,
-    domain_hypergraph,
 )
 from .errors import OutOfUniverseError, UniverseTooLargeError
 
@@ -585,11 +585,7 @@ def parity_identity(
 
 def cover_multiplicity(family: Family, coloring: Coloring) -> int:
     """Number of maps contained in the coloring."""
-    count = 0
-    for m in family.maps:
-        if all(coloring.value(v) == bit for v, bit in m.entries):
-            count += 1
-    return count
+    return sum(not avoids(coloring, m) for m in family.maps)
 
 
 @dataclass(frozen=True)

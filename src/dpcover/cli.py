@@ -120,7 +120,7 @@ def _parse(text: str) -> GadgetOutput:
         )
     maps = _field(doc, "maps", list)
     maps.reverse()  # popped in document order, each map's lists freed once it is read
-    family = Family.of(make_partial_map(_entries(i, maps.pop())) for i in range(len(maps)))
+    family = Family.of(_read_map(i, maps.pop()) for i in range(len(maps)))
     labels = _field(doc, "labels", dict)
     if not all(type(v) is int for v in labels.values()):
         raise ValueError("label values must be integer vertex ids")
@@ -131,16 +131,16 @@ def _parse(text: str) -> GadgetOutput:
     return GadgetOutput(family, labels, str(doc.get("source", "")), claims, notes)
 
 
-def _entries(i: int, entry_list: object) -> list[tuple[int, int]]:
-    """The entries of map i, which must be [vertex, bit] pairs of integers."""
+def _read_map(i: int, entry_list: object) -> PartialMap:
+    """Map i, which must be a list of [vertex, bit] integer pairs; the pairs'
+    shapes are read only when make_partial_map refuses them."""
     if type(entry_list) is list:
-        for pair in entry_list:
-            if type(pair) is not list or len(pair) != 2:
-                break
-            if type(pair[0]) is not int or type(pair[1]) is not int:
-                break
-        else:
-            return list(map(tuple, entry_list))
+        try:
+            return make_partial_map(map(tuple, entry_list))
+        except Exception:
+            if all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int
+                   for p in entry_list):
+                raise
     raise ValueError(f"maps[{i}] is not a list of [vertex, bit] integer pairs")
 
 

@@ -32,7 +32,7 @@ from .errors import (
     UniverseOverlapError,
 )
 
-# The seeded stream behind every sampled non-colorability claim and bracket.
+# The seeded stream behind every sampled non-colorability claim.
 _SAMPLED_CLAIM_TRIALS = 2000
 _SAMPLED_CLAIM_SEED = 0x5EED
 
@@ -71,7 +71,8 @@ def _shape_claims(family: Family, *, uniform: int, edges: int | None = None) -> 
 
 
 def _noncolorability_claim(family: Family) -> tuple[dict, str]:
-    """An exhaustive claim at desk scale, a seeded sampling claim beyond it."""
+    """An exhaustive claim at desk scale, a seeded sampling claim beyond it;
+    the only code that chooses between the two."""
     if len(family.universe) <= analysis.DEFAULT_PARITY_LIMIT:
         return {"kind": "no-coloring"}, "certified-by-enumeration"
     return (
@@ -136,7 +137,7 @@ def k43_cover() -> GadgetOutput:
     family = Family.of(_from_rows((0, 1, 2, 3), _K43_ROWS))
     claims = _shape_claims(family, uniform=3, edges=4)
     claims.append({"kind": "weight", "value": "1"})
-    claims.append({"kind": "no-coloring"})
+    claims.append(_noncolorability_claim(family)[0])
     return GadgetOutput(family, labels, "gadget:k43-cover", claims)
 
 
@@ -180,7 +181,7 @@ def four_uniform_10() -> GadgetOutput:
     block1 = _from_rows((3, 4, 5, 6, 7), _K54_EQ_ROWS)
     family = Family.of(block0 + block1)
     claims = _shape_claims(family, uniform=4, edges=10)
-    claims.append({"kind": "no-coloring"})
+    claims.append(_noncolorability_claim(family)[0])
     return GadgetOutput(family, labels, "gadget:four-uniform-10", claims)
 
 
@@ -266,7 +267,7 @@ def five_uniform_17() -> GadgetOutput:
     maps += _from_rows(ys + zs, _TWO_EDGE_ROWS)
     family = Family.of(maps)
     claims = _shape_claims(family, uniform=5, edges=17)
-    claims.append({"kind": "no-coloring"})
+    claims.append(_noncolorability_claim(family)[0])
     return GadgetOutput(family, labels, "gadget:five-uniform-17", claims)
 
 
@@ -449,7 +450,7 @@ def unary_upper_even(r: int) -> GadgetOutput:
     family = Family.of(list(big.maps) + list(small.maps))
     claims = _shape_claims(family, uniform=r)
     claims.append({"kind": "unary"})
-    claims.append({"kind": "no-coloring"})
+    claims.append(_noncolorability_claim(family)[0])
     notes = {"pair-order": "(x_i, y_i) for i < r/2, then (z_i, w_i)"}
     return GadgetOutput(family, labels, f"gadget:unary-even(r={r})", claims, notes)
 
@@ -473,19 +474,15 @@ def lift_to_cover(family: Family, pivot: VertexId | None = None) -> GadgetOutput
         pivot = (max(universe) + 1) if universe else 0
     if pivot in universe:
         raise UniverseOverlapError(f"pivot {pivot} lies inside the input universe")
-    if len(universe) <= analysis.DEFAULT_PARITY_LIMIT:
-        if analysis.find_coloring(family).colorable:
-            raise ValueError("input family admits an avoiding coloring")
-        mode = "certified-by-enumeration"
-    else:
-        mode = "trusted"
+    claim, mode = _noncolorability_claim(family)
+    if claim["kind"] == "no-coloring" and not analysis.check_claim(family, claim).ok:
+        raise ValueError("input family admits an avoiding coloring")
     lifted = [make_partial_map(m.entries + ((pivot, 0),)) for m in family.maps]
     lifted += [make_partial_map(m.complement().entries + ((pivot, 1),)) for m in family.maps]
     out = Family.of(lifted)
     labels = {"pivot": pivot}
     claims = _shape_claims(out, uniform=profile.uniformity + 1, edges=len(family))
-    nc_claim, _ = _noncolorability_claim(out)
-    claims.append(nc_claim)
+    claims.append(_noncolorability_claim(out)[0])
     notes = {"input-noncolorability": mode}
     return GadgetOutput(out, labels, "gadget:lifted-cover", claims, notes)
 

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from . import analysis
-from .core import Family, PartialMap, VertexId, make_partial_map
+from .core import Family, VertexId, make_partial_map
 from .errors import SearchSpaceTooLargeError, UniverseTooLargeError
 
 _KEY_UNIVERSE_LIMIT = 12
@@ -409,7 +409,8 @@ def verify_bracket(r: int, *, workers: int = 1) -> BracketReport:
     """Bracket the minimum size of a non-colorable unary r-uniform family.
 
     Lower bound 2^r + 1; upper bound 2^r + 2^ceil(r/2), witnessed by an
-    explicit construction whose non-colorability is enumerated at desk scale.
+    explicit construction whose own non-colorability claim is checked:
+    enumerated at desk scale, sampled beyond it.
     At r = 2 the exhaustive search pins the exact minimum (a vertex budget of
     6 suffices: every vertex of a minimum witness lies in >= 2 domains, so a
     size-6 family has at most 6 vertices).
@@ -427,20 +428,11 @@ def verify_bracket(r: int, *, workers: int = 1) -> BracketReport:
     family = gadget.family
     if len(family) != upper:
         raise RuntimeError("witness size disagrees with the stated upper bound")
-    if len(family.universe) <= analysis.DEFAULT_PARITY_LIMIT:
-        report = analysis.find_coloring(family)
-        if report.colorable:
-            raise RuntimeError("bracket witness unexpectedly colorable")
-        certification = "enumerated"
-    else:
-        sample = analysis.sample_noncolorability(
-            family,
-            trials=constructions._SAMPLED_CLAIM_TRIALS,
-            seed=constructions._SAMPLED_CLAIM_SEED,
-        )
-        if sample.counterexamples:
-            raise RuntimeError("bracket witness unexpectedly colorable")
-        certification = "sampled"
+    certifications = {"no-coloring": "enumerated", "sampled-no-coloring": "sampled"}
+    (claim,) = (c for c in gadget.claimed_properties if c["kind"] in certifications)
+    if not analysis.check_claim(family, claim).ok:
+        raise RuntimeError("bracket witness unexpectedly colorable")
+    certification = certifications[claim["kind"]]
     search_min = None
     if r == 2:
         search = search_min_unary(2, upper, 6, workers=workers)

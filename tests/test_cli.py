@@ -320,6 +320,19 @@ class TestVerifyCommand:
             assert cli_main(["verify", path, "--claims"]) == 0, gadget.source
             assert capsys.readouterr().out.endswith("verified\n")
 
+    def test_unary_even_over_the_table_limit_verifies(self, tmp_path, capsys):
+        path = tmp_path / "unary-even-14.json"
+        assert cli_main(["construct", "unary-even", "--r", "14", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["verify", "--claims", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-3:] == [
+            "ok sampled-no-coloring",
+            "claims: 5 checked, 0 failed",
+            "verified",
+        ]
+
     def test_failing_claim_exits_one(self, tmp_path, capsys):
         doc = json.loads(serialize(constructions.k43_cover()))
         doc["claimed_properties"].append({"kind": "unary"})

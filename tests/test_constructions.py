@@ -6,7 +6,7 @@ code paths and a transcription slip in either shows up as a mismatch.
 """
 import pytest
 
-from dpcover import analysis, constructions
+from dpcover import analysis, cli, constructions
 from dpcover.core import Family, Hypergraph, classify, domain_hypergraph, make_partial_map, relabel_family
 from dpcover.errors import (
     NotUnaryError,
@@ -475,6 +475,12 @@ class TestLiftToCover:
         assert not report.colorable
         assert report.enumerated == 512
 
+    def test_input_over_the_table_limit_is_trusted(self):
+        base = constructions.double_unary_gadget(7).family  # 25 vertices
+        g = constructions.lift_to_cover(base)
+        assert g.notes["input-noncolorability"] == "trusted"
+        assert len(g.family) == 2 * len(base)
+
     def test_colorable_input_rejected(self):
         with pytest.raises(ValueError):
             constructions.lift_to_cover(fam([(0, 0), (1, 0)]))
@@ -532,6 +538,32 @@ def test_every_gadget_claim_passes():
     ]
     for g in gadgets:
         assert all_claims_pass(g) == [], g.source
+
+
+NONCOLORABLE_BUILDS = [
+    ("k43", None, "no-coloring"),
+    ("four-uniform-10", None, "no-coloring"),
+    ("five-uniform-17", None, "no-coloring"),
+    ("binary", 4, "no-coloring"),  # 15 vertices
+    ("binary", 5, "sampled-no-coloring"),  # 31
+    ("double-unary", 5, "no-coloring"),  # 17
+    ("double-unary", 7, "sampled-no-coloring"),  # 25
+    ("unary-even", 12, "no-coloring"),  # 24, the table limit
+    ("unary-even", 14, "sampled-no-coloring"),  # 28
+    ("lifted-cover", 5, "no-coloring"),  # 9
+    ("lifted-cover", 8, "sampled-no-coloring"),  # 26
+]
+
+
+@pytest.mark.parametrize("name, r, kind", NONCOLORABLE_BUILDS)
+def test_noncolorability_claim_comes_from_one_place(name, r, kind):
+    if r is None:
+        gadget = cli._PLAIN_GADGETS[name]()
+    else:
+        gadget = cli._PARAMETRIC_GADGETS[name](r)
+    (claim,) = [c for c in gadget.claimed_properties if c["kind"].endswith("no-coloring")]
+    assert claim["kind"] == kind
+    assert claim == constructions._noncolorability_claim(gadget.family)[0]
 
 
 def test_weight_bound_versus_noncolorability_on_gadgets():

@@ -1,0 +1,57 @@
+"""The package as a whole: what importing it loads, and its modules' imports."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_module_runs_without_warnings():
+    result = run_python("-W", "error", "-m", "dpcover.cli", "construct", "k43")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert '"source": "gadget:k43-cover"' in result.stdout
+
+
+def test_importing_the_package_leaves_the_cli_unloaded_until_used():
+    code = "\n".join([
+        "import sys, dpcover",
+        "assert 'dpcover.cli' not in sys.modules",
+        "from dpcover import parse",
+        "import dpcover.cli",
+        "assert parse is dpcover.cli.parse and dpcover.cli is sys.modules['dpcover.cli']",
+        "names = {}",
+        "exec('from dpcover import *', names)",
+        "assert names['cli_main'] is dpcover.cli.cli_main",
+        "assert set(dpcover.__all__) <= set(names)",
+    ])
+    result = run_python("-W", "error", "-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def unread_imports(path):
+    """Names a module imports (other than from __future__) that it never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_used():
+    modules = sorted(p for p in (SRC / "dpcover").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert {p.name: unread_imports(p) for p in modules} == {p.name: [] for p in modules}

@@ -298,6 +298,24 @@ def test_parse_matches_the_reference_and_restores_the_collector(doc, truncate, c
     assert got == expected
 
 
+_DEEP = "[" * 900 + "]" * 900  # a list vertex nested as deep as json.loads allows here
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        '""', "{}", "[[0, true]]", "[[0, 1], [0, 1.5]]", "[[0, 1], [1]]", "[[0, 1], 5]",
+        '[[0, 1], "ab"]', "[[0, 1], [0, 1]]", "[[0, 2]]", "[[-1, 0]]",
+        f"[[{_DEEP}, 0], [{_DEEP}, 0]]",
+    ],
+)
+def test_parse_matches_the_reference_on_malformed_maps(entries):
+    text = '{"format_version": "1", "maps": [[[0, 1]], ' + entries + "]}"
+    expected = outcome(slow_parse, text)
+    assert expected[0] == "raised"
+    assert outcome(parse, text) == expected
+
+
 # Entry tuples for canonical keys: families with maps of mixed sizes, unary
 # r-uniform families, and families closed under the global flip.
 def unary_families(r):

@@ -382,6 +382,34 @@ class TestVerifyBracket:
         assert report.certification == "enumerated"
         assert report.consistent
 
+    @pytest.mark.parametrize("r", [7, 14])
+    def test_witness_over_the_table_limit_is_sampled(self, r):
+        report = search.verify_bracket(r)
+        assert report.upper_bound == report.witness_size == (1 << r) + (1 << ((r + 1) // 2))
+        assert report.certification == "sampled"
+        assert report.consistent
+
+    def test_certification_reads_the_table_limit(self, monkeypatch):
+        monkeypatch.setenv("DPCOVER_PARITY_LIMIT", "10")  # double-unary(5) has 17 vertices
+        with pytest.raises(UniverseTooLargeError):
+            search.verify_bracket(5)
+        monkeypatch.setenv("DPCOVER_ENUM_LIMIT", "10")
+        monkeypatch.setenv("DPCOVER_PARITY_LIMIT", "17")
+        assert search.verify_bracket(5).certification == "enumerated"
+
+    def test_colorable_witness_is_refused(self, monkeypatch):
+        real = constructions.unary_upper_even
+
+        def colorable_stand_in(r):
+            """The real gadget's claims on 20 maps of the colorable parity gadget."""
+            gadget = real(r)
+            gadget.family = Family(constructions.parity_gadget(5).family.maps[:20])
+            return gadget
+
+        monkeypatch.setattr(constructions, "unary_upper_even", colorable_stand_in)
+        with pytest.raises(RuntimeError, match="unexpectedly colorable"):
+            search.verify_bracket(4)
+
     def test_rejects_r_below_two(self):
         with pytest.raises(ValueError):
             search.verify_bracket(1)
