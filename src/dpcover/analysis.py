@@ -14,9 +14,10 @@ match.  A whole pass costs w(F) * 2^n cell updates divided by the lanes per
 word, plus one operation per (map, chunk) pair that the map's high entries
 let through.
 
-Chunks hold at most chunk_size codes (DEFAULT_CHUNK = 2^20).  Full passes
-(the count, avoiding_codes, MultiplicityTable) take chunks of that size.  A
-first-witness scan takes [0, 2^12) first and then [2^j, 2^(j + 1)) for
+Chunks hold at most DEFAULT_CHUNK = 2^20 codes, a fixed policy that only
+_Subcubes reads.  Full passes (the count, avoiding_codes, MultiplicityTable,
+the no-coloring claim) take chunks of that size.  A first-witness scan takes
+[0, FIRST_CHUNK) = [0, 2^12) first and then [2^j, 2^(j + 1)) for
 j = 12, 13, ... up to that size, so its cost follows where the witness
 lies; the chunks are ascending either way, so the witness is the smallest
 avoiding code.  All weights are exact Fractions whose denominators are
@@ -43,6 +44,7 @@ import numpy as np
 from .core import (
     Coloring,
     Family,
+    FamilyProfile,
     PartialMap,
     VertexId,
     avoids,
@@ -88,9 +90,10 @@ class _Subcubes:
 
     A chunk [lo, lo + 2^j) holds the 2^j codes that share their bits j..
     (lo is a multiple of 2^j).  Chunks have at most 2^k codes, 2^k the
-    largest power of two not above chunk_size (at most 2^n), and at least
-    2^first, the same power for first_chunk (2^k when it is None): `chunks`
-    lists them from [0, 2^first) on, doubling up to 2^k.
+    largest power of two not above DEFAULT_CHUNK (at most 2^n), and at least
+    2^first, the same power for FIRST_CHUNK in a first-witness scan (else
+    2^k): `chunks` lists them from [0, 2^first) on, doubling up to 2^k.
+    Both constants are read when the object is built.
 
     Cells are added a word at a time.  The lowest `lanes` code bits pick a
     lane of one unsigned `word` of up to 64 bits (3 bits at uint8, 2 at
@@ -104,17 +107,11 @@ class _Subcubes:
     and the cell dtype holds that.
     """
 
-    def __init__(
-        self,
-        family: Family,
-        universe: Sequence[VertexId],
-        chunk_size: int,
-        first_chunk: int | None = None,
-    ):
+    def __init__(self, family: Family, universe: Sequence[VertexId], *, first_witness=False):
         rank = _ranks(universe)
         self.n = n = len(universe)
-        self.k = k = min(n, max(chunk_size, 1).bit_length() - 1)
-        self.first = first = k if first_chunk is None else min(k, first_chunk.bit_length() - 1)
+        self.k = k = min(n, DEFAULT_CHUNK.bit_length() - 1)
+        self.first = first = min(k, FIRST_CHUNK.bit_length() - 1) if first_witness else k
         self.dtype = np.min_scalar_type(len(family))
         self.lanes = lanes = min(first, (8 // self.dtype.itemsize).bit_length() - 1)
         self.word, lane_words = _lane_words(self.dtype, lanes)
@@ -191,23 +188,18 @@ class ColorabilityReport:
     enumerated: int
 
 
-def find_coloring(
-    family: Family,
-    *,
-    count: bool = False,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> ColorabilityReport:
+def find_coloring(family: Family, *, count: bool = False, workers: int = 1) -> ColorabilityReport:
     """Exhaustively search for a coloring avoiding every map of the family.
 
     The witness is the smallest coloring code.  The scan runs in the calling
-    process; `workers` is accepted and has no effect.  Raises
-    UniverseTooLargeError above the scan limit.
+    process.  `workers` has no effect: it is kept only because the benchmark
+    (perfbench/workloads.py) passes it, and goes once the benchmark no longer
+    does.  Raises UniverseTooLargeError above the scan limit.
     """
     universe = family.universe
     n = len(universe)
     _check_size(n, "DPCOVER_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
-    cubes = _Subcubes(family, universe, chunk_size, None if count else FIRST_CHUNK)
+    cubes = _Subcubes(family, universe, first_witness=not count)
     total = 1 << n
     first: int | None = None
     avoiders = 0
@@ -226,14 +218,21 @@ def find_coloring(
     return ColorabilityReport(True, witness, (avoiders if count else None), enumerated)
 
 
-def avoiding_codes(family: Family, *, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
-    """All coloring codes avoiding every map, ascending."""
+def _avoider_chunks(family: Family) -> Iterator[np.ndarray]:
+    """The avoiding codes of each full-size chunk in turn, ascending.  Raises
+    UniverseTooLargeError above the table limit when first advanced."""
     universe = family.universe
     _check_size(len(universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
-    cubes = _Subcubes(family, universe, chunk_size)
-    return np.concatenate(
-        [np.flatnonzero(cubes.counts(lo, j) == 0) + lo for lo, j in cubes.chunks()]
-    )
+    cubes = _Subcubes(family, universe)
+    for lo, j in cubes.chunks():
+        codes = np.flatnonzero(cubes.counts(lo, j) == 0)
+        codes += lo  # in place: a second array of codes would double the peak
+        yield codes
+
+
+def avoiding_codes(family: Family) -> np.ndarray:
+    """All coloring codes avoiding every map, ascending."""
+    return np.concatenate(list(_avoider_chunks(family)))
 
 
 @dataclass(frozen=True)
@@ -490,13 +489,7 @@ class MultiplicityTable:
     is unsigned (see the module docstring): cast it before subtracting.
     """
 
-    def __init__(
-        self,
-        family: Family,
-        ambient: Sequence[VertexId] | None = None,
-        *,
-        chunk_size: int = DEFAULT_CHUNK,
-    ):
+    def __init__(self, family: Family, ambient: Sequence[VertexId] | None = None):
         universe = family.universe
         amb = tuple(sorted(set(ambient))) if ambient is not None else universe
         if not set(universe) <= set(amb):
@@ -505,7 +498,7 @@ class MultiplicityTable:
         _check_size(n, "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT, "ambient")
         self.ambient = amb
         self.n = n
-        cubes = _Subcubes(family, amb, chunk_size)
+        cubes = _Subcubes(family, amb)
         self.counts = np.zeros(1 << n, dtype=cubes.dtype)
         for lo, j in cubes.chunks():
             cubes.counts(lo, j, self.counts[lo : lo + (1 << j)])
@@ -748,6 +741,10 @@ class _ClaimScope:
         return _ranks(self.family.universe)
 
     @cached_property
+    def profile(self) -> FamilyProfile:
+        return classify(self.family)
+
+    @cached_property
     def codes(self) -> np.ndarray:
         return avoiding_codes(self.family)
 
@@ -768,7 +765,6 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
     scope = _SCOPE.get()
     if scope is None or scope.family is not family:
         scope = _ClaimScope(family)
-    profile = classify(family)
 
     def field(name: str, *types: type) -> Any:
         """claim[name], which must be an instance of one of `types`; a bool
@@ -817,16 +813,15 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         got = len(family.universe)
         return ok() if got == want else fail(f"{got} vertices, expected {want}")
     if kind == "uniform":
-        want = field("r", int)
-        if profile.uniformity == want:
-            return ok()
-        return fail(f"uniformity {profile.uniformity}, expected {want}")
+        want, got = field("r", int), scope.profile.uniformity
+        return ok() if got == want else fail(f"uniformity {got}, expected {want}")
     if kind == "unary":
-        return ok() if profile.is_unary else fail("a domain carries more than one map")
+        return ok() if scope.profile.is_unary else fail("a domain carries more than one map")
     if kind == "binary":
-        return ok() if profile.is_binary else fail("a domain carries more than two maps")
+        return ok() if scope.profile.is_binary else fail("a domain carries more than two maps")
     if kind == "valid-cover":
         edges = field("edges", int) if "edges" in claim else None
+        profile = scope.profile
         if profile.cover_of is None:
             reason, edge = profile.cover_violation  # type: ignore[misc]
             return fail(f"{reason} at {list(edge)}")
@@ -869,14 +864,17 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         return ok()
 
     # The remaining kinds quantify over the family's avoiding colorings,
-    # scope.codes, which each reads only once its fields check out.
+    # which each reads only once its fields check out.
     if kind == "colorable":
         return ok() if scope.codes.size else fail("no coloring avoids every map")
     if kind == "coloring-count":
         want, got = field("value", int), scope.codes.size
         return ok() if got == want else fail(f"{got} colorings, expected {want}")
     if kind == "no-coloring":
-        return counterexample([], (lambda c: np.ones(c.shape, dtype=bool), "avoids every map"))
+        # The codes an earlier claim built, else the chunks up to the first avoider.
+        chunks = [scope.codes] if "codes" in scope.__dict__ else _avoider_chunks(family)
+        code = next((int(c[0]) for c in chunks if c.size), None)
+        return ok() if code is None else fail(f"coloring {code} avoids every map")
     if kind == "forces-equal":
         vs = vertices("vertices")
         return counterexample([vs], (lambda c, r: ~_is_constant(c, r), "is not constant there"))
@@ -928,8 +926,8 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
 
 
 def check_claims(family: Family, claims: Sequence[dict]) -> tuple[ClaimResult, ...]:
-    """check_claim on each claim in order; the avoiding codes are enumerated
-    at most once for all of them."""
+    """check_claim on each claim in order; the profile and the list of all
+    avoiding codes are each built at most once for all of them."""
     token = _SCOPE.set(_ClaimScope(family))
     try:
         return tuple(check_claim(family, c) for c in claims)

@@ -206,6 +206,8 @@ GADGET_NAMES = sorted(_PLAIN_GADGETS) + sorted(_PARAMETRIC_GADGETS)
 def _lifted(r: int) -> GadgetOutput:
     if r < 3:
         raise ValueError("lifted-cover needs r >= 3")
+    # Twice the witness at r - 1: 2 * (2^(r-1) + 2^(r//2)), whichever its parity.
+    constructions._check_map_count("lifted-cover", r, lambda r: (1 << r) + (1 << r // 2 + 1))
     if (r - 1) % 2 == 0:
         base = constructions.unary_upper_even(r - 1).family
     else:
@@ -294,9 +296,7 @@ def _cmd_color(args: argparse.Namespace, out: IO[str]) -> int:
         if report.first_counterexample is not None:
             out.write(f"first-counterexample: {_bits_text(report.first_counterexample)}\n")
         return 0
-    report = analysis.find_coloring(
-        family, count=args.count, workers=args.workers
-    )
+    report = analysis.find_coloring(family, count=args.count)
     if args.count:
         out.write(
             f"colorings: {report.coloring_count} of {report.enumerated}\n"
@@ -339,9 +339,7 @@ def _cmd_export_cnf(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, out: IO[str]) -> int:
-    report = search.search_min_unary(
-        args.r, args.max_size, args.max_vertices, workers=args.workers
-    )
+    report = search.search_min_unary(args.r, args.max_size, args.max_vertices)
     out.write(
         f"search: r={report.r} max_size={report.size_bound}"
         f" max_vertices={report.vertex_bound}\n"
@@ -360,7 +358,7 @@ def _cmd_search(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_bracket(args: argparse.Namespace, out: IO[str]) -> int:
-    report = search.verify_bracket(args.r, workers=args.workers)
+    report = search.verify_bracket(args.r)
     out.write(
         f"bracket: r={report.r} lower={report.lower_bound}"
         f" upper={report.upper_bound}\n"
@@ -382,12 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dpcover",
         description="Construct, verify, and certify families of forbidden"
         " partial 0/1 assignments.",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted and ignored: enumeration runs in the calling process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +35,15 @@ from .errors import (
 # The seeded stream behind every sampled non-colorability claim.
 _SAMPLED_CLAIM_TRIALS = 2000
 _SAMPLED_CLAIM_SEED = 0x5EED
+
+_MAX_MAPS = 1 << 20  # the most maps a parametric generator builds
+
+
+def _check_map_count(name: str, r: int, maps: Callable[[int], int]) -> None:
+    """Raise ValueError before `name` builds maps(r) > _MAX_MAPS maps.  Each
+    generator builds at least 2^r, so a larger r is refused before maps(r) is formed."""
+    if r >= _MAX_MAPS.bit_length() or maps(r) > _MAX_MAPS:
+        raise ValueError(f"{name}(r={r}) would have more than {_MAX_MAPS} maps")
 
 
 @dataclass
@@ -324,6 +333,7 @@ def binary_family(r: int) -> GadgetOutput:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    _check_map_count("binary", r, lambda r: 1 << r)
     # The closed form emits valid entries, with the maps sorted and distinct.
     family = Family(tuple(map(_partial_map, _binary_entries(r))))
     labels = {"pivot": (1 << r) - 2}
@@ -378,6 +388,7 @@ def parity_gadget(r: int) -> GadgetOutput:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    _check_map_count("parity", r, lambda r: 1 << r)
     pairs = [(i, r + i) for i in range(r)]
     labels = {f"x{i}": i for i in range(r)} | {f"y{i}": r + i for i in range(r)}
     family = Family.of(_parity_maps(pairs))
@@ -430,6 +441,7 @@ def unary_upper_even(r: int) -> GadgetOutput:
     """
     if r < 2 or r % 2:
         raise OddRError("r must be even and >= 2")
+    _check_map_count("unary-even", r, lambda r: (1 << r) + (1 << r // 2))
     half = r // 2
     xs = list(range(0, half))
     ys = list(range(half, 2 * half))
@@ -507,6 +519,7 @@ def double_unary_gadget(r: int) -> GadgetOutput:
     """
     if r < 3 or r % 2 == 0:
         raise OddRError("r must be odd and >= 3")
+    _check_map_count("double-unary", r, lambda r: (1 << r) + (1 << (r + 1) // 2))
     block = unary_upper_even(r - 1)
     width = 2 * (r - 1)
     copy0 = block.family

@@ -48,17 +48,17 @@ class CanonicalKey:
     data: bytes
 
 
-def canonical_key(family: Family, *, limit: int = _KEY_UNIVERSE_LIMIT) -> CanonicalKey:
+def canonical_key(family: Family) -> CanonicalKey:
     """Exact canonical form under vertex bijections and the global color flip.
 
     Two families receive equal keys iff they are isomorphic under that group.
-    Per-vertex flips are deliberately not in the group.
+    Per-vertex flips are deliberately not in the group.  Universes above
+    _KEY_UNIVERSE_LIMIT vertices, the bound search_min_unary also checks,
+    raise UniverseTooLargeError.
     """
-    universe = family.universe
-    if len(universe) > limit:
-        raise UniverseTooLargeError(
-            f"universe has {len(universe)} vertices, canonical_key limit is {limit}"
-        )
+    n, limit = len(family.universe), _KEY_UNIVERSE_LIMIT
+    if n > limit:
+        raise UniverseTooLargeError(f"universe has {n} vertices, canonical_key limit is {limit}")
     return CanonicalKey(_key_of_entries([m.entries for m in family.maps]))
 
 
@@ -285,11 +285,7 @@ def _completion_dfs(
 
 
 def search_min_unary(
-    r: int,
-    max_size: int,
-    max_vertices: int,
-    *,
-    workers: int = 1,
+    r: int, max_size: int, max_vertices: int, *, workers: int = 1
 ) -> MinimalityReport:
     """Smallest non-colorable unary r-uniform family within the given bounds.
 
@@ -302,8 +298,9 @@ def search_min_unary(
     budget is never non-colorable.  Phase 2 gives each representative after
     the first witness the running best minus one as its budget, which keeps
     the witness of a full budget; families_examined counts the nodes actually
-    visited.  The search runs in the calling process; `workers` is accepted
-    and has no effect.
+    visited.  The search runs in the calling process.  `workers` has no
+    effect: it is kept only because the benchmark (perfbench/workloads.py)
+    passes it, and goes once the benchmark no longer does.
     """
     if r < 1 or max_size < 1 or max_vertices < r:
         raise ValueError("need r >= 1, max_size >= 1, max_vertices >= r")
@@ -405,7 +402,7 @@ class BracketReport:
         return ok
 
 
-def verify_bracket(r: int, *, workers: int = 1) -> BracketReport:
+def verify_bracket(r: int) -> BracketReport:
     """Bracket the minimum size of a non-colorable unary r-uniform family.
 
     Lower bound 2^r + 1; upper bound 2^r + 2^ceil(r/2), witnessed by an
@@ -435,8 +432,7 @@ def verify_bracket(r: int, *, workers: int = 1) -> BracketReport:
     certification = certifications[claim["kind"]]
     search_min = None
     if r == 2:
-        search = search_min_unary(2, upper, 6, workers=workers)
-        search_min = search.witness_size
+        search_min = search_min_unary(2, upper, 6).witness_size
     return BracketReport(
         r, lower, upper, len(family), gadget.source, certification, search_min
     )

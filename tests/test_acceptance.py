@@ -7,6 +7,7 @@ derived by independent enumeration before the implementations existed.
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -319,9 +320,8 @@ def build_report(workers: int) -> str:
         lines.append(cli.export_cnf(gadget.family))
     big = constructions.unary_upper_even(8).family
     lines.append(repr(analysis.find_coloring(big, count=True, workers=workers)))
-    lines.append(
-        repr(analysis.find_coloring(big, count=True, workers=workers, chunk_size=4096))
-    )
+    with mock.patch.object(analysis, "DEFAULT_CHUNK", 4096):
+        lines.append(repr(analysis.find_coloring(big, count=True, workers=workers)))
     wide = constructions.binary_family(16).family
     lines.append(repr(analysis.sample_noncolorability(wide, 100_000, seed=0x5EED)))
     for r in (2, 3):
@@ -333,7 +333,7 @@ def build_report(workers: int) -> str:
     for budget in (4, 5, 6):
         lines.append(repr(search.search_min_unary(2, budget, 6, workers=workers)))
     for r in (2, 3, 4):
-        lines.append(repr(search.verify_bracket(r, workers=workers)))
+        lines.append(repr(search.verify_bracket(r)))
     return "\n".join(lines)
 
 

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,21 +72,24 @@ class TestFindColoring:
         assert report.witness.bits == 0
         assert report.enumerated == 1
 
-    def test_workers_give_identical_reports(self):
+    def test_workers_give_identical_reports(self, monkeypatch):
         family = constructions.unary_upper_even(4).family
-        one = analysis.find_coloring(family, count=True, chunk_size=32)
-        two = analysis.find_coloring(family, count=True, workers=2, chunk_size=32)
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 32)
+        one = analysis.find_coloring(family, count=True)
+        two = analysis.find_coloring(family, count=True, workers=2)
         assert one == two
         colorable = constructions.parity_gadget(4).family
-        one = analysis.find_coloring(colorable, count=True, chunk_size=16)
-        two = analysis.find_coloring(colorable, count=True, workers=2, chunk_size=16)
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 16)
+        one = analysis.find_coloring(colorable, count=True)
+        two = analysis.find_coloring(colorable, count=True, workers=2)
         assert one == two
 
-    def test_parallel_scan_stops_at_the_first_witness(self):
+    def test_parallel_scan_stops_at_the_first_witness(self, monkeypatch):
         # Code 0 avoids every map: the witness lies in chunk 0 of 64.
         family = fam(*([(v, 1), (v + 1, 1)] for v in range(9)))
-        one = analysis.find_coloring(family, chunk_size=16)
-        two = analysis.find_coloring(family, workers=2, chunk_size=16)
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 16)
+        one = analysis.find_coloring(family)
+        two = analysis.find_coloring(family, workers=2)
         assert one == two
         assert two.witness.bits == 0 and two.enumerated == 1
 
@@ -96,8 +100,9 @@ class TestFindColoring:
         monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         family = constructions.parity_gadget(4).family  # 8 vertices: 16 chunks
-        two = analysis.find_coloring(family, count=True, workers=2, chunk_size=16)
-        assert two == analysis.find_coloring(family, count=True, chunk_size=16)
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 16)
+        two = analysis.find_coloring(family, count=True, workers=2)
+        assert two == analysis.find_coloring(family, count=True)
         report = search.search_min_unary(2, 6, 6, workers=2)
         assert report == search.search_min_unary(2, 6, 6)
 
@@ -404,8 +409,8 @@ class TestMultiplicityTable:
 class TestKernelAgainstOracles:
     """The table, the avoiding codes and the full count read one chunked kernel.
 
-    Chunk sizes below 2^n split the code space; sizes that are not powers of
-    two round down to one.  A uint8 word holds 8 cells and a uint16 word 4,
+    Chunk sizes (DEFAULT_CHUNK, patched) below 2^n split the code space;
+    sizes that are not powers of two round down to one.  A uint8 word holds 8 cells and a uint16 word 4,
     so 4, 8 and 16 (2, 4 and 8) are chunks below, at and above one word.
     """
 
@@ -413,19 +418,20 @@ class TestKernelAgainstOracles:
 
     @staticmethod
     def check(family, ambient=None, chunk_size=analysis.DEFAULT_CHUNK):
-        want = slow_multiplicities(family, ambient)
-        table = analysis.MultiplicityTable(family, ambient, chunk_size=chunk_size)
-        assert table.counts.tolist() == want
-        if ambient is not None:
-            return
-        free = [code for code, m in enumerate(want) if m == 0]
-        assert analysis.avoiding_codes(family, chunk_size=chunk_size).tolist() == free
-        report = analysis.find_coloring(family, count=True, chunk_size=chunk_size)
-        assert report.coloring_count == len(free) and type(report.coloring_count) is int
-        assert report.witness == (Coloring(family.universe, free[0]) if free else None)
-        assert report.enumerated == len(want)
-        first = analysis.find_coloring(family, chunk_size=chunk_size)
-        assert first.enumerated == (free[0] + 1 if free else len(want))
+        with mock.patch.object(analysis, "DEFAULT_CHUNK", chunk_size):
+            want = slow_multiplicities(family, ambient)
+            table = analysis.MultiplicityTable(family, ambient)
+            assert table.counts.tolist() == want
+            if ambient is not None:
+                return
+            free = [code for code, m in enumerate(want) if m == 0]
+            assert analysis.avoiding_codes(family).tolist() == free
+            report = analysis.find_coloring(family, count=True)
+            assert report.coloring_count == len(free) and type(report.coloring_count) is int
+            assert report.witness == (Coloring(family.universe, free[0]) if free else None)
+            assert report.enumerated == len(want)
+            first = analysis.find_coloring(family)
+            assert first.enumerated == (free[0] + 1 if free else len(want))
 
     def test_random_families_across_chunk_sizes(self, rng):
         for _ in range(40):
@@ -472,7 +478,7 @@ class TestKernelAgainstOracles:
         assert len(many) == 272
         assert analysis.MultiplicityTable(many).counts.dtype == np.uint16
 
-    def test_uint16_chunks_across_one_word(self):
+    def test_uint16_chunks_across_one_word(self, monkeypatch):
         # 2^17 codes, so a whole pass in chunks of a few cells takes seconds:
         # the kernel counts the first and last 2^8 codes and some chunks
         # between, against a vectorised brute force.
@@ -484,13 +490,16 @@ class TestKernelAgainstOracles:
             pattern = sum(b << v for v, b in m.entries)
             want += (codes & mask) == pattern
         for chunk_size in (2, 4, 8):
-            cubes = analysis._Subcubes(many, many.universe, chunk_size)
+            monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk_size)
+            cubes = analysis._Subcubes(many, many.universe)
             assert cubes.dtype == np.uint16
             for lo, j in cubes.chunks():
+                assert 1 << j <= chunk_size  # the patched cap holds
                 if lo < 1 << 8 or lo >= (1 << 17) - (1 << 8) or lo % 4099 < chunk_size:
                     counts = cubes.counts(lo, j)
                     assert counts.dtype == np.uint16 and counts.size == 1 << j
                     assert (counts == want[lo : lo + (1 << j)]).all()
+        monkeypatch.undo()
         assert (analysis.MultiplicityTable(many).counts == want).all()
 
     @staticmethod
@@ -509,30 +518,33 @@ class TestKernelAgainstOracles:
         maps.append([(j, other >> j & 1) for j in range(n)])
         return fam(*maps)
 
-    def test_first_witness_across_growing_chunks(self):
+    def test_first_witness_across_growing_chunks(self, monkeypatch):
         # 14 vertices: first-witness scans take [0, 2^12), [2^12, 2^13) and
         # [2^13, 2^14); with a cap of 2^12 or 8 the chunks stop growing.
         n, k = 14, analysis.FIRST_CHUNK.bit_length() - 1
+        chunks = (8, 1 << k, analysis.DEFAULT_CHUNK)
         for first in (0, (1 << k) - 1, 1 << k, (1 << k + 1) - 1, 1 << k + 1, (1 << n) - 1, None):
             family = self.first_code_family(n, first)
             free = [code for code, m in enumerate(slow_multiplicities(family)) if m == 0]
             assert (free[0] if free else None) == first
-            for chunk_size in (8, 1 << k, analysis.DEFAULT_CHUNK):
-                report = analysis.find_coloring(family, chunk_size=chunk_size)
+            for chunk_size in chunks:
+                monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk_size)
+                report = analysis.find_coloring(family)
                 if first is None:
                     assert report.witness is None and report.enumerated == 1 << n
                 else:
                     assert report.witness == Coloring(family.universe, first)
                     assert report.enumerated == first + 1
 
-    def test_count_mode_holds_one_chunk(self):
+    def test_count_mode_holds_one_chunk(self, monkeypatch):
         # 2^20 - 1 avoiders in one chunk of 2^20 one-byte cells: counting them
         # allocates no index per avoider.
         chunk = 1 << 20
         family = fam([(v, 1) for v in range(20)])
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk)
         tracemalloc.start()
         try:
-            report = analysis.find_coloring(family, count=True, chunk_size=chunk)
+            report = analysis.find_coloring(family, count=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -903,6 +915,35 @@ class TestClaimChecking:
         expected = analysis.ClaimResult(claim["kind"], False, message)
         assert analysis.check_claim(family, claim) == expected
         assert analysis.check_claims(family, [claim]) == (expected,)
+
+    def test_only_shape_kinds_build_the_profile(self):
+        family = constructions.unary_upper_even(6).family
+        for claim in (
+            {"kind": "weight", "value": "9/8"},
+            {"kind": "map-count", "value": 72},
+            {"kind": "no-coloring"},
+        ):
+            assert analysis.check_claim(family, claim).ok
+        assert "profile" not in family.__dict__
+        assert analysis.check_claim(family, {"kind": "unary"}).ok
+        assert "profile" in family.__dict__
+
+    def test_false_no_coloring_stops_at_the_first_chunk_with_an_avoider(self, monkeypatch):
+        # 10 vertices in 16-code chunks; the smallest avoider, 40, lies in
+        # the third chunk of 64.
+        family = TestKernelAgainstOracles.first_code_family(10, 40)
+        chunks = []
+        counts = analysis._Subcubes.counts
+
+        def counting(cubes, lo, j, out=None):
+            chunks.append(lo)
+            return counts(cubes, lo, j, out)
+
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 16)
+        monkeypatch.setattr(analysis._Subcubes, "counts", counting)
+        result = analysis.check_claim(family, {"kind": "no-coloring"})
+        assert result == analysis.ClaimResult("no-coloring", False, "coloring 40 avoids every map")
+        assert chunks == [0, 16, 32]
 
     def test_counterexample_kinds_match_the_reference(self, rng):
         gadgets = [

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,53 @@ class TestConstructCommand:
         assert cli_main(["construct", "lifted-cover", "--r", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # The smallest refused r of each gadget, and binary at r = 40, whose
+    # build would ask numpy for 8 TiB.
+    @pytest.mark.parametrize(
+        "name, r",
+        [
+            ("binary", 21),
+            ("binary", 40),
+            ("parity", 21),
+            ("unary-even", 20),
+            ("double-unary", 21),
+            ("lifted-cover", 20),
+        ],
+    )
+    def test_sizes_over_the_map_cap_exit_one_before_building(self, capsys, name, r):
+        start = time.perf_counter()
+        assert cli_main(["construct", name, "--r", str(r)]) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name}(r={r}) would have more than 1048576 maps\n"
+
+    def test_map_cap_reads_each_gadgets_closed_form(self, monkeypatch):
+        # A cap of exactly the built count builds; one less refuses.
+        for name, rs in [
+            ("binary", range(1, 7)),
+            ("parity", range(1, 7)),
+            ("unary-even", (2, 4, 6)),
+            ("double-unary", (3, 5, 7)),
+            ("lifted-cover", range(3, 8)),
+        ]:
+            build = cli._PARAMETRIC_GADGETS[name]
+            for r in rs:
+                maps = len(build(r).family)
+                monkeypatch.setattr(constructions, "_MAX_MAPS", maps)
+                assert len(build(r).family) == maps
+                monkeypatch.setattr(constructions, "_MAX_MAPS", maps - 1)
+                with pytest.raises(ValueError, match=rf"^{name}\(r={r}\) would have more than"):
+                    build(r)
+                monkeypatch.undo()
+
+    def test_huge_r_is_refused_before_its_count_is_formed(self):
+        def count(r):
+            raise AssertionError("formed the map count")
+
+        with pytest.raises(ValueError, match="would have more than"):
+            constructions._check_map_count("binary", 10**12, count)
+
 
 def write_doc(tmp_path, gadget, name="doc.json"):
     path = tmp_path / name
@@ -358,6 +406,27 @@ class TestVerifyCommand:
             f"claims: {len(gadget.claimed_properties) + 1} checked, 1 failed",
             "violations found",
         ]
+
+    def test_false_no_coloring_claim_names_the_smallest_avoider(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # parity(3)'s smallest avoider is 7.  The line is the same whether the
+        # claim scans alone (in one chunk, or stopping in the second of 4-code
+        # chunks) or reads the codes an earlier claim enumerated.
+        gadget = constructions.parity_gadget(3)
+        line = "FAIL no-coloring: coloring 7 avoids every map"
+        runs = [([{"kind": "no-coloring"}], None), ([{"kind": "no-coloring"}], 4)]
+        runs.append((gadget.claimed_properties + [{"kind": "no-coloring"}], None))
+        for claims, chunk in runs:
+            if chunk is not None:
+                monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk)
+            doc = json.loads(serialize(gadget))
+            doc["claimed_properties"] = claims
+            path = tmp_path / "false.json"
+            path.write_text(json.dumps(doc))
+            assert cli_main(["verify", str(path), "--claims"]) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert out[-3:] == [line, f"claims: {len(claims)} checked, 1 failed", "violations found"]
 
     def test_without_claims_flag_only_profiles(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.binary_family(2))
@@ -477,34 +546,27 @@ class TestColorCommand:
         assert "counterexamples=" in out
         assert "first-counterexample: " in out
 
-    def test_consecutive_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
+    def test_workers_option_is_a_usage_error(self, tmp_path):
         path = write_doc(tmp_path, constructions.parity_gadget(3))
-        workers = []
-        find_coloring = analysis.find_coloring
+        with pytest.raises(SystemExit) as info:
+            cli_main(["--workers", "2", "color", path])
+        assert info.value.code == 2
 
-        def recording(family, **kwargs):
-            workers.append(kwargs["workers"])
-            return find_coloring(family, **kwargs)
-
-        monkeypatch.setattr(analysis, "find_coloring", recording)
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        path = write_doc(tmp_path, constructions.parity_gadget(3))
         outputs = []
-        for argv in (["--workers", "2", "color", path, "--count"], ["color", path]):
+        for argv in (["color", path, "--count"], ["color", path]):
             assert cli_main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert workers == [2, 1]
         assert outputs[0] == "colorings: 4 of 64\n"
         assert outputs[1].startswith("colorable: witness=")
         assert cli._build_parser() is cli._build_parser()
 
-    def test_identical_output_across_runs_and_workers(self, tmp_path, capsys):
+    def test_identical_output_across_runs(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.unary_upper_even(4))
         outputs = []
-        for argv in (
-            ["color", path, "--count"],
-            ["color", path, "--count"],
-            ["--workers", "2", "color", path, "--count"],
-        ):
-            assert cli_main(argv) == 0
+        for _ in range(3):
+            assert cli_main(["color", path, "--count"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 

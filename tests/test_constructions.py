@@ -4,6 +4,8 @@ The expected tables here are written as explicit entry tuples, not row
 strings, so the two encodings of the same data are produced by different
 code paths and a transcription slip in either shows up as a mismatch.
 """
+import tracemalloc
+
 import pytest
 
 from dpcover import analysis, cli, constructions
@@ -484,6 +486,19 @@ class TestLiftToCover:
     def test_colorable_input_rejected(self):
         with pytest.raises(ValueError):
             constructions.lift_to_cover(fam([(0, 0), (1, 0)]))
+
+    def test_colorable_input_is_refused_at_its_first_avoiding_chunk(self):
+        # Nearly all 2^22 colorings avoid this one map; holding every one of
+        # them peaked at 64 MB.
+        family = fam([(v, 0) for v in range(22)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^input family admits an avoiding coloring$"):
+                constructions.lift_to_cover(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_non_unary_input_rejected(self):
         with pytest.raises(NotUnaryError):

@@ -1,9 +1,13 @@
-"""The package as a whole: what importing it loads, and its modules' imports."""
+"""The package as a whole: what importing it loads, its modules' imports, and
+the options its functions take."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from dpcover import analysis, search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,6 +53,23 @@ def unread_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
+
+
+def test_no_option_that_selects_nothing():
+    """The chunk size, the canonical-key limit and `workers` are fixed, apart
+    from the `workers` the benchmark passes to find_coloring and
+    search_min_unary, which has no effect."""
+    removed = {
+        analysis.find_coloring: "chunk_size",
+        analysis.avoiding_codes: "chunk_size",
+        analysis.MultiplicityTable: "chunk_size",
+        search.canonical_key: "limit",
+        search.verify_bracket: "workers",
+    }
+    for function, name in removed.items():
+        assert name not in inspect.signature(function).parameters, function
+    for function in (analysis.find_coloring, search.search_min_unary):
+        assert "workers" in inspect.signature(function).parameters
 
 
 def test_every_import_is_used():

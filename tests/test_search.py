@@ -78,11 +78,12 @@ class TestCanonicalKey:
     def test_empty_family(self):
         assert search.canonical_key(Family.of([])) == search.canonical_key(Family.of([]))
 
-    def test_universe_limit(self):
+    def test_universe_limit(self, monkeypatch):
         nested = fam(*[[(j, 0) for j in range(k + 1)] for k in range(13)])
         with pytest.raises(UniverseTooLargeError):
             search.canonical_key(nested)
-        assert search.canonical_key(nested, limit=13)
+        monkeypatch.setattr(search, "_KEY_UNIVERSE_LIMIT", 13)
+        assert search.canonical_key(nested)
 
     def test_losing_orientation_is_not_held_to_the_cap(self, monkeypatch):
         # The flipped maps lose at the first step, where their big map alone
