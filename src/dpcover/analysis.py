@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, product, takewhile
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,15 +62,15 @@ FIRST_CHUNK = 1 << 12  # a first-witness scan's first chunk; later ones double
 
 def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> None:
     """Raise UniverseTooLargeError when n exceeds the limit: the environment
-    variable env_name if it is set, else default."""
+    variable env_name if it is set, else default.  A value that is not an
+    integer raises ValueError naming the variable."""
     raw = os.environ.get(env_name)
-    cap = int(raw) if raw else default
+    try:
+        cap = int(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
     if n > cap:
         raise UniverseTooLargeError(f"{what} has {n} vertices, limit is {cap}")
-
-
-def _ranks(universe: Sequence[VertexId]) -> dict[VertexId, int]:
-    return {v: i for i, v in enumerate(universe)}
 
 
 @cache
@@ -107,9 +108,8 @@ class _Subcubes:
     and the cell dtype holds that.
     """
 
-    def __init__(self, family: Family, universe: Sequence[VertexId], *, first_witness=False):
-        rank = _ranks(universe)
-        self.n = n = len(universe)
+    def __init__(self, family: Family, rank: dict[VertexId, int], *, first_witness=False):
+        self.n = n = len(rank)
         self.k = k = min(n, DEFAULT_CHUNK.bit_length() - 1)
         self.first = first = min(k, FIRST_CHUNK.bit_length() - 1) if first_witness else k
         self.dtype = np.min_scalar_type(len(family))
@@ -199,7 +199,7 @@ def find_coloring(family: Family, *, count: bool = False, workers: int = 1) -> C
     universe = family.universe
     n = len(universe)
     _check_size(n, "DPCOVER_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
-    cubes = _Subcubes(family, universe, first_witness=not count)
+    cubes = _Subcubes(family, family.ranks, first_witness=not count)
     total = 1 << n
     first: int | None = None
     avoiders = 0
@@ -221,9 +221,8 @@ def find_coloring(family: Family, *, count: bool = False, workers: int = 1) -> C
 def _avoider_chunks(family: Family) -> Iterator[np.ndarray]:
     """The avoiding codes of each full-size chunk in turn, ascending.  Raises
     UniverseTooLargeError above the table limit when first advanced."""
-    universe = family.universe
-    _check_size(len(universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
-    cubes = _Subcubes(family, universe)
+    _check_size(len(family.universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
+    cubes = _Subcubes(family, family.ranks)
     for lo, j in cubes.chunks():
         codes = np.flatnonzero(cubes.counts(lo, j) == 0)
         codes += lo  # in place: a second array of codes would double the peak
@@ -245,6 +244,7 @@ class SampleReport:
 
 _NONE, _TRUE = -1, -2  # child codes: no map below; the empty map, in every coloring
 _WALK_TRIALS = 1 << 10  # colorings walked through the index together; bounds its memory
+_MAX_TRIALS = 1 << 20  # trials one call may take: a document cannot ask for an unbounded run
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -284,21 +284,12 @@ class _MapIndex:
         self.universe = family.universe
         n = len(self.universe)
         entries = [m.entries for m in family.maps]
-        labels = np.arange(n)
-        if n and self.universe[-1] >= 1 << 63:  # ids past int64: read ranks instead
-            rank_of = dict(zip(self.universe, range(n)))
-            entries = [tuple((rank_of[v], b) for v, b in e) for e in entries]
-        else:
-            labels = np.array(self.universe, dtype=np.int64)
         sizes = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
         start = np.cumsum(sizes) - sizes
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(entries)),
-            dtype=np.int64,
-            count=2 * int(sizes.sum()),
-        )
-        rank = np.searchsorted(labels, flat[0::2])
-        bit = flat[1::2]
+        pairs = list(chain.from_iterable(entries))
+        ranks = map(family.ranks.__getitem__, map(itemgetter(0), pairs))
+        rank = np.fromiter(ranks, dtype=np.int64, count=len(pairs))
+        bit = np.fromiter(map(itemgetter(1), pairs), dtype=np.int64, count=len(pairs))
         key = np.repeat(np.arange(len(entries)), sizes) * n + rank  # ascending
         live = np.ones(rank.size, dtype=bool)  # entry not yet split on
         left = sizes.copy()  # live entries per map
@@ -422,11 +413,13 @@ def sample_noncolorability(family: Family, trials: int, seed: int) -> SampleRepo
     report is a pure function of (family, trials, seed); buffers come from a
     counter-based generator so wide universes stay cheap to sample.  The
     stream is drawn in blocks of at most 2 MiB, and each block is walked as
-    it is drawn, `_WALK_TRIALS` colorings at a time.  A negative
-    `trials` or `seed` raises ValueError.
+    it is drawn, `_WALK_TRIALS` colorings at a time.  A negative `trials` or
+    `seed`, or more than `_MAX_TRIALS` trials, raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     index = _MapIndex(family)
@@ -485,8 +478,9 @@ class MultiplicityTable:
     """Multiplicity of every coloring: how many maps each coloring contains.
 
     One enumeration pass shared by the parity identity's right side and the
-    weight-one audit.  `ambient` may extend the family's universe.  `counts`
-    is unsigned (see the module docstring): cast it before subtracting.
+    weight-one audit.  `ambient` may extend the family's universe; `ranks`
+    maps each ambient vertex to its code bit.  `counts` is unsigned (see the
+    module docstring): cast it before subtracting.
     """
 
     def __init__(self, family: Family, ambient: Sequence[VertexId] | None = None):
@@ -497,8 +491,9 @@ class MultiplicityTable:
         n = len(amb)
         _check_size(n, "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT, "ambient")
         self.ambient = amb
+        self.ranks = family.ranks if amb == universe else {v: i for i, v in enumerate(amb)}
         self.n = n
-        cubes = _Subcubes(family, amb)
+        cubes = _Subcubes(family, self.ranks)
         self.counts = np.zeros(1 << n, dtype=cubes.dtype)
         for lo, j in cubes.chunks():
             cubes.counts(lo, j, self.counts[lo : lo + (1 << j)])
@@ -549,31 +544,25 @@ def parity_identity(
     family: Family,
     subset: Iterable[VertexId],
     *,
-    ambient: Sequence[VertexId] | None = None,
     table: MultiplicityTable | None = None,
 ) -> ParityResidual:
     """Evaluate both sides of the signed-weight identity independently.
 
     The left side is combinatorial (weights of the S-split); the right side is
-    an exhaustive enumeration over the ambient universe.  A prebuilt
-    MultiplicityTable on the same ambient may be passed to share the pass.
+    an exhaustive enumeration over the ambient universe: the family's universe
+    and S, or the ambient of a prebuilt MultiplicityTable passed to share the
+    pass.
     """
     s = tuple(sorted(set(subset)))
     if table is None:
-        amb = tuple(sorted(set(family.universe) | set(s) | set(ambient or ())))
-        table = MultiplicityTable(family, amb)
-    else:
-        amb = table.ambient
-        if not set(s) <= set(amb):
-            raise OutOfUniverseError("subset not inside the table's ambient")
+        table = MultiplicityTable(family, family.universe + s)
+    elif not set(s) <= set(table.ambient):
+        raise OutOfUniverseError("subset not inside the table's ambient")
     even, odd = sub_family(family, s)
     lhs = weight(even) - weight(odd)
-    rank = _ranks(amb)
-    sign_mask = 0
-    for v in s:
-        sign_mask |= 1 << rank[v]
+    sign_mask = sum(1 << table.ranks[v] for v in s)
     rhs = Fraction(table.signed_sum(sign_mask), 1 << table.n)
-    return ParityResidual(s, lhs, rhs, amb)
+    return ParityResidual(s, lhs, rhs, table.ambient)
 
 
 def cover_multiplicity(family: Family, coloring: Coloring) -> int:
@@ -737,10 +726,6 @@ class _ClaimScope:
         self.family = family
 
     @cached_property
-    def rank(self) -> dict[VertexId, int]:
-        return _ranks(self.family.universe)
-
-    @cached_property
     def profile(self) -> FamilyProfile:
         return classify(self.family)
 
@@ -852,7 +837,7 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         marks, for the first (bad, message) check that marks one.  Every list
         is checked against the universe and ranked once, before scope.codes
         is read."""
-        rank = scope.rank
+        rank = family.ranks
         if any(v not in rank for vs in lists for v in vs):
             return fail("claim mentions a vertex outside the universe")
         ranks = [[rank[v] for v in vs] for vs in lists]
@@ -871,9 +856,7 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         want, got = field("value", int), scope.codes.size
         return ok() if got == want else fail(f"{got} colorings, expected {want}")
     if kind == "no-coloring":
-        # The codes an earlier claim built, else the chunks up to the first avoider.
-        chunks = [scope.codes] if "codes" in scope.__dict__ else _avoider_chunks(family)
-        code = next((int(c[0]) for c in chunks if c.size), None)
+        code = next((int(c[0]) for c in _avoider_chunks(family) if c.size), None)
         return ok() if code is None else fail(f"coloring {code} avoids every map")
     if kind == "forces-equal":
         vs = vertices("vertices")

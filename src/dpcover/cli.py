@@ -161,8 +161,7 @@ def export_cnf(family: Family) -> str:
     """
     if not len(family):
         raise ValueError("cannot export an empty family")
-    universe = family.universe
-    rank = {v: i for i, v in enumerate(universe)}
+    universe, rank = family.universe, family.ranks
     lines = ["c forbidden partial assignment family, one clause per map"]
     for v in universe:
         lines.append(f"c variable {rank[v] + 1} = vertex {v}")

@@ -188,6 +188,12 @@ class Family:
         return tuple(sorted({v for m in self.maps for v, _ in m.entries}))
 
     @cached_property
+    def ranks(self) -> dict[VertexId, int]:
+        """Each vertex's index in `universe`: bit ranks[v] of a coloring code
+        colors v; computed once per family, and not to be changed."""
+        return {v: i for i, v in enumerate(self.universe)}
+
+    @cached_property
     def profile(self) -> "FamilyProfile":
         """classify(self): the profile against the family's own domain
         hypergraph; computed once per family."""

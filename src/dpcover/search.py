@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from . import analysis
+from . import analysis, constructions
 from .core import Family, VertexId, make_partial_map
 from .errors import SearchSpaceTooLargeError, UniverseTooLargeError
 
@@ -412,8 +412,6 @@ def verify_bracket(r: int) -> BracketReport:
     6 suffices: every vertex of a minimum witness lies in >= 2 domains, so a
     size-6 family has at most 6 vertices).
     """
-    from . import constructions
-
     if r < 2:
         raise ValueError("bracket needs r >= 2")
     lower = (1 << r) + 1

@@ -545,7 +545,7 @@ def slow_check_claim(family: Family, claim: dict) -> analysis.ClaimResult:
         return [list(p) for p in value]
 
     def ranks_of(vs: Sequence[int]) -> list[int] | None:
-        rank = scope.rank
+        rank = {v: i for i, v in enumerate(family.universe)}
         if any(v not in rank for v in vs):
             return None
         return [rank[v] for v in vs]

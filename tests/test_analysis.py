@@ -116,6 +116,13 @@ class TestFindColoring:
         assert report.colorable
         assert report.witness.bits == 255  # all ones is the only avoider
 
+    def test_the_scan_builds_the_family_ranks_and_weight_does_not(self):
+        family = fam([(7, 0), (2**70, 1)], [(40, 1)])
+        analysis.weight(family)
+        assert "ranks" not in family.__dict__
+        analysis.find_coloring(family)
+        assert family.__dict__["ranks"] == {7: 0, 40: 1, 2**70: 2}
+
     def test_avoiding_codes_ascending_and_complete(self, rng):
         for _ in range(25):
             family = random_family(rng)
@@ -145,6 +152,13 @@ class TestSampling:
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -2$"):
             analysis.sample_noncolorability(family, 10, seed=-2)
         assert analysis.sample_noncolorability(family, 0, seed=0).counterexamples == 0
+
+    def test_trials_over_the_bound_rejected(self, monkeypatch):
+        family = constructions.binary_family(3).family
+        monkeypatch.setattr(analysis, "_MAX_TRIALS", 5)
+        assert analysis.sample_noncolorability(family, 5, seed=0).trials == 5
+        with pytest.raises(ValueError, match="^trials must be at most 5, got 6$"):
+            analysis.sample_noncolorability(family, 6, seed=0)
 
     def test_colorable_family_finds_counterexamples(self):
         family = constructions.parity_gadget(3).family
@@ -336,7 +350,8 @@ class TestParityIdentity:
     def test_ambient_extension_scales_rhs_consistently(self):
         family = fam([(0, 0)])
         inside = analysis.parity_identity(family, (0,))
-        extended = analysis.parity_identity(family, (0,), ambient=(0, 1, 2))
+        table = analysis.MultiplicityTable(family, (0, 1, 2))
+        extended = analysis.parity_identity(family, (0,), table=table)
         assert inside.holds and extended.holds
         assert inside.lhs == extended.lhs
 

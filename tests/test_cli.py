@@ -412,7 +412,7 @@ class TestVerifyCommand:
     ):
         # parity(3)'s smallest avoider is 7.  The line is the same whether the
         # claim scans alone (in one chunk, or stopping in the second of 4-code
-        # chunks) or reads the codes an earlier claim enumerated.
+        # chunks) or follows claims that enumerated every avoider.
         gadget = constructions.parity_gadget(3)
         line = "FAIL no-coloring: coloring 7 avoids every map"
         runs = [([{"kind": "no-coloring"}], None), ([{"kind": "no-coloring"}], 4)]
@@ -454,6 +454,13 @@ class TestVerifyCommand:
             tmp_path, capsys, claimed_properties=[{"kind": "map-count"}]
         )
         assert "'map-count'" in err and "'value'" in err
+
+    def test_sampled_claim_over_the_trials_bound_exits_one_at_once(self, tmp_path, capsys):
+        claim = {"kind": "sampled-no-coloring", "trials": 10**14, "seed": 1}
+        start = time.perf_counter()
+        err = self.verify_malformed(tmp_path, capsys, maps=[[[0, 1]]], claimed_properties=[claim])
+        assert time.perf_counter() - start < 0.5
+        assert err == f"error: trials must be at most 1048576, got {10**14}\n"
 
     def test_claim_field_of_the_wrong_type_exits_one(self, tmp_path, capsys):
         for claim, name in (
@@ -529,6 +536,25 @@ class TestColorCommand:
         path = write_doc(tmp_path, constructions.binary_family(3))
         assert cli_main(["color", path, *flags]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_sample_count_over_the_bound_exits_one_at_once(self, tmp_path, capsys):
+        path = write_doc(tmp_path, constructions.binary_family(3))
+        start = time.perf_counter()
+        assert cli_main(["color", path, "--sample", str(10**14)]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == ("", f"error: trials must be at most 1048576, got {10**14}\n")
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [("DPCOVER_ENUM_LIMIT", "color"), ("DPCOVER_PARITY_LIMIT", "audit-weight-one")],
+    )
+    def test_limit_that_is_not_an_integer_is_named(
+        self, tmp_path, capsys, monkeypatch, name, command
+    ):
+        path = write_doc(tmp_path, constructions.binary_family(3))
+        monkeypatch.setenv(name, "abc")
+        assert cli_main([command, path]) == 1
+        assert capsys.readouterr() == ("", f"error: {name} must be an integer, got 'abc'\n")
 
     def test_count_mode(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.parity_gadget(3))

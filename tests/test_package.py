@@ -65,6 +65,7 @@ def test_no_option_that_selects_nothing():
         analysis.MultiplicityTable: "chunk_size",
         search.canonical_key: "limit",
         search.verify_bracket: "workers",
+        analysis.parity_identity: "ambient",
     }
     for function, name in removed.items():
         assert name not in inspect.signature(function).parameters, function
