@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, product, takewhile
+from math import prod
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -63,12 +64,14 @@ FIRST_CHUNK = 1 << 12  # a first-witness scan's first chunk; later ones double
 def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> None:
     """Raise UniverseTooLargeError when n exceeds the limit: the environment
     variable env_name if it is set, else default.  A value that is not an
-    integer raises ValueError naming the variable."""
+    integer, or is negative, raises ValueError naming the variable."""
     raw = os.environ.get(env_name)
     try:
         cap = int(raw) if raw else default
     except ValueError:
         raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{env_name} must not be negative, got {raw!r}")
     if n > cap:
         raise UniverseTooLargeError(f"{what} has {n} vertices, limit is {cap}")
 
@@ -817,9 +820,12 @@ def check_claim(family: Family, claim: dict) -> ClaimResult:
         got, want = str(weight(family)), field("value", str)
         return ok() if got == want else fail(f"weight {got}, expected {want}")
     if kind == "transversal-domains":
-        want = {tuple(sorted(choice)) for choice in product(*pairs("pairs"))}
-        got = {d for d, _ in family.domains}
-        return ok() if got == want else fail("domains differ from the pair transversals")
+        # Counted before any is built: if the claim holds, no vertex lies in
+        # two pairs (a transversal would repeat it, which no domain does), so
+        # the transversals are distinct, as many as the product of pair sizes.
+        ps, got = [set(p) for p in pairs("pairs")], {d for d, _ in family.domains}
+        same = prod(map(len, ps)) == len(got) and got == {tuple(sorted(c)) for c in product(*ps)}
+        return ok() if same else fail("domains differ from the pair transversals")
     if kind == "sampled-no-coloring":
         rep = sample_noncolorability(family, field("trials", int), field("seed", int))
         if rep.counterexamples:

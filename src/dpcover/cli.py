@@ -90,13 +90,13 @@ def parse(text: str) -> GadgetOutput:
     """Inverse of serialize; raises ValueError or a DpcoverError subclass on
     bad content, including a document of the wrong shape.
 
-    Each map is checked once for its shape (`_entries`) and once, after one
-    sort, by `make_partial_map`; `Family.of` then sorts the maps by their
-    entries.  The cyclic garbage collector is paused for the whole call: the
-    decoded document holds one list per entry and per map, none of them in a
-    cycle, and with the collector on it re-scanned them as they were made,
-    which took about a third of the call on `binary_family(13)`'s 4.4 MB
-    document.  It is switched back on afterwards only if it was on before.
+    `make_partial_map` sorts and checks each map once (`_read_map` reads its
+    shape only when that refuses it); `Family.of` then sorts the maps.  The
+    cyclic garbage collector is paused for the whole call: the decoded
+    document holds one list per entry and per map, none of them in a cycle,
+    and with the collector on it re-scanned them as they were made, about a
+    third of the call on `binary_family(13)`'s 4.4 MB document.  It is
+    switched back on afterwards only if it was on before.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -110,7 +110,7 @@ def parse(text: str) -> GadgetOutput:
 def _parse(text: str) -> GadgetOutput:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
@@ -196,22 +196,10 @@ _PARAMETRIC_GADGETS = {
     "parity": constructions.parity_gadget,
     "unary-even": constructions.unary_upper_even,
     "double-unary": constructions.double_unary_gadget,
-    "lifted-cover": lambda r: _lifted(r),
+    "lifted-cover": constructions.lifted_cover,
 }
 
 GADGET_NAMES = sorted(_PLAIN_GADGETS) + sorted(_PARAMETRIC_GADGETS)
-
-
-def _lifted(r: int) -> GadgetOutput:
-    if r < 3:
-        raise ValueError("lifted-cover needs r >= 3")
-    # Twice the witness at r - 1: 2 * (2^(r-1) + 2^(r//2)), whichever its parity.
-    constructions._check_map_count("lifted-cover", r, lambda r: (1 << r) + (1 << r // 2 + 1))
-    if (r - 1) % 2 == 0:
-        base = constructions.unary_upper_even(r - 1).family
-    else:
-        base = constructions.double_unary_gadget(r - 1).family
-    return constructions.lift_to_cover(base)
 
 
 def _read_document(path: str) -> GadgetOutput:

@@ -534,3 +534,18 @@ def double_unary_gadget(r: int) -> GadgetOutput:
     notes = {"blocks": f"two copies of unary-even(r={r - 1}), second shifted by {width}",
              "noncolorability": mode}
     return GadgetOutput(family, labels, f"gadget:double-unary(r={r})", claims, notes)
+
+
+def unary_witness(r: int) -> GadgetOutput:
+    """The unary non-colorable r-uniform family of size 2^r + 2^ceil(r/2):
+    unary_upper_even at even r, double_unary_gadget at odd r."""
+    return unary_upper_even(r) if r % 2 == 0 else double_unary_gadget(r)
+
+
+def lifted_cover(r: int) -> GadgetOutput:
+    """lift_to_cover of unary_witness(r - 1): a non-colorable r-uniform 2-fold
+    cover of 2^r + 2^(r//2 + 1) maps, twice the witness, whichever its parity."""
+    if r < 3:
+        raise ValueError("lifted-cover needs r >= 3")
+    _check_map_count("lifted-cover", r, lambda r: (1 << r) + (1 << r // 2 + 1))
+    return lift_to_cover(unary_witness(r - 1).family)

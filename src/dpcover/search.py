@@ -67,29 +67,29 @@ def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
 
     One greedy tie search emits the lexicographically smallest sorted code
     list over all dense relabelings of the maps and of their global flip.  A
-    state is an orientation, its labeled vertices in label order, that
-    relabeling sigma as a dict, and the maps not yet emitted.  Each step emits
-    the smallest code any remaining map of any state can reach: labeled
-    vertices keep their labels, unlabeled ones take the next labels with
-    their values in ascending order.  Every state and fresh-label order that
-    achieves it is kept, so the greedy choice is exact, and an orientation
-    that loses a step drops out.  A code entry (label, bit) is the int
-    2 * label + bit, which sorts the same way; sigma holds twice the label.
-    The tie cap applies per orientation; the caller bounds the universe.
+    state is an orientation, its relabeling sigma and the maps left.  Each
+    step emits the smallest code any remaining map of any state can reach:
+    labeled vertices keep their labels, unlabeled ones take the next labels
+    with their values in ascending order.  Every state and fresh-label order
+    that achieves it is kept, so the greedy choice is exact, and an
+    orientation that loses a step drops out.  No two states coincide: sigma
+    and the codes fix the maps emitted, no two maps being equal, so children
+    of one state differ in new labels and of two states in old ones.  A code
+    entry (label, bit) is the int 2 * label + bit, which sorts the same way;
+    sigma holds twice the label.  The tie cap applies per orientation; the
+    caller bounds the universe.
     """
     flipped = [tuple((v, 1 - bit) for v, bit in entries) for entries in maps]
     oriented = (maps, flipped)
     everything = frozenset(range(len(maps)))
-    # states: (orientation, vertices in label order, sigma, remaining maps)
-    states = [(0, (), {}, everything), (1, (), {}, everything)]
+    states = [(0, {}, everything), (1, {}, everything)]  # (orientation, sigma, maps left)
     tails: dict[tuple[int, int, int], tuple[int, ...]] = {}  # (k, zeros, ones)
     out = bytearray()
     for _ in range(len(maps)):
         k = len(states[0][1])  # every state has labeled the same number
         best_code = None
-        options = []  # (state, map_index) achieving best_code
-        for state in states:
-            o, _, sigma, remaining = state
+        options = []  # (*state, map_index) achieving best_code
+        for o, sigma, remaining in states:
             entries_of = oriented[o]
             for m_idx in remaining:
                 labeled = []
@@ -111,32 +111,27 @@ def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
                 code = tuple(labeled) + tail
                 if best_code is None or code < best_code:
                     best_code = code
-                    options = [(state, m_idx)]
+                    options = [(o, sigma, remaining, m_idx)]
                 elif code == best_code:
-                    options.append((state, m_idx))
+                    options.append((o, sigma, remaining, m_idx))
         out.append(len(best_code))
         for c in best_code:
             out += bytes((c >> 1, c & 1))
-        next_states = {}
+        states = []
         sizes = [0, 0]
-        for (o, order, sigma, remaining), m_idx in options:
+        for o, sigma, remaining, m_idx in options:
             rest = remaining - {m_idx}
             zeros = [v for v, bit in oriented[o][m_idx] if not bit and v not in sigma]
             ones = [v for v, bit in oriented[o][m_idx] if bit and v not in sigma]
+            labels = range(2 * k, 2 * (k + len(zeros) + len(ones)), 2)
             for zs in permutations(zeros):
                 for os_ in permutations(ones):
-                    new_order = order + zs + os_
-                    if (o, new_order, rest) in next_states:
-                        continue
                     sizes[o] += 1
                     if sizes[o] > _KEY_STATE_CAP:
                         raise SearchSpaceTooLargeError(
                             f"canonical key tie set exceeded {_KEY_STATE_CAP} states"
                         )
-                    new_sigma = dict(sigma)
-                    new_sigma.update(zip(zs + os_, range(2 * k, 2 * len(new_order), 2)))
-                    next_states[o, new_order, rest] = (o, new_order, new_sigma, rest)
-        states = list(next_states.values())
+                    states.append((o, sigma | dict(zip(zs + os_, labels)), rest))
     return bytes(out)
 
 
@@ -309,7 +304,7 @@ def search_min_unary(
             f"max_vertices {max_vertices} exceeds canonical key limit"
         )
     n_candidates = comb(max_vertices, r) << r
-    estimate = sum(comb(n_candidates, k) for k in range(1, max_size + 1))
+    estimate = sum(comb(n_candidates, k) for k in range(1, min(max_size, n_candidates) + 1))
     if estimate > _SEARCH_NODE_CAP and max_size > _CANONICAL_DEPTH:
         raise SearchSpaceTooLargeError(
             f"worst-case search space {estimate} exceeds {_SEARCH_NODE_CAP}"
@@ -405,21 +400,18 @@ class BracketReport:
 def verify_bracket(r: int) -> BracketReport:
     """Bracket the minimum size of a non-colorable unary r-uniform family.
 
-    Lower bound 2^r + 1; upper bound 2^r + 2^ceil(r/2), witnessed by an
-    explicit construction whose own non-colorability claim is checked:
-    enumerated at desk scale, sampled beyond it.
+    Lower bound 2^r + 1; upper bound 2^r + 2^ceil(r/2), witnessed by
+    constructions.unary_witness(r), whose own non-colorability claim is
+    checked: enumerated at desk scale, sampled beyond it.
     At r = 2 the exhaustive search pins the exact minimum (a vertex budget of
     6 suffices: every vertex of a minimum witness lies in >= 2 domains, so a
     size-6 family has at most 6 vertices).
     """
     if r < 2:
         raise ValueError("bracket needs r >= 2")
+    gadget = constructions.unary_witness(r)  # refuses r >= 21, before any 1 << r
     lower = (1 << r) + 1
     upper = (1 << r) + (1 << ((r + 1) // 2))
-    if r % 2 == 0:
-        gadget = constructions.unary_upper_even(r)
-    else:
-        gadget = constructions.double_unary_gadget(r)
     family = gadget.family
     if len(family) != upper:
         raise RuntimeError("witness size disagrees with the stated upper bound")

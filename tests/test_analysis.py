@@ -506,7 +506,7 @@ class TestKernelAgainstOracles:
             want += (codes & mask) == pattern
         for chunk_size in (2, 4, 8):
             monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk_size)
-            cubes = analysis._Subcubes(many, many.universe)
+            cubes = analysis._Subcubes(many, many.ranks)
             assert cubes.dtype == np.uint16
             for lo, j in cubes.chunks():
                 assert 1 << j <= chunk_size  # the patched cap holds

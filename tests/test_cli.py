@@ -2,9 +2,12 @@
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +295,8 @@ class TestConstructCommand:
     def test_content_errors_exit_one(self, capsys):
         assert cli_main(["construct", "lifted-cover", "--r", "2"]) == 1
         assert "error:" in capsys.readouterr().err
+        assert cli_main(["construct", "parity", "--r", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: r must be >= 1\n")
 
     # The smallest refused r of each gadget, and binary at r = 40, whose
     # build would ask numpy for 8 TiB.
@@ -339,6 +344,31 @@ class TestConstructCommand:
 
         with pytest.raises(ValueError, match="would have more than"):
             constructions._check_map_count("binary", 10**12, count)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The CLI in a child interpreter whose address space is capped at 1.5 GB, so
+# that an unbounded allocation fails there rather than in the test process.
+_CAPPED_CLI = (
+    "import resource, sys\n"
+    "from dpcover.cli import main\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+    "main()\n"
+)
+
+
+def run_capped_cli(*argv, timeout=10):
+    """(result, wall seconds) of `dpcover *argv` under _CAPPED_CLI.  A child
+    still running after `timeout` seconds is killed and the test fails; the
+    seconds include the child's start-up and imports, about 0.3 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    return result, time.perf_counter() - start
 
 
 def write_doc(tmp_path, gadget, name="doc.json"):
@@ -478,6 +508,32 @@ class TestVerifyCommand:
         err = self.verify_malformed(tmp_path, capsys, labels=[1])
         assert "labels" in err
 
+    def test_deeply_nested_document_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"format_version": "1", "maps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert cli_main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
+    def test_forty_transversal_pairs_are_checked_at_once(self, tmp_path):
+        # 2^40 transversals; the claim is refused by counting them.
+        pairs = [[2 * i, 2 * i + 1] for i in range(40)]
+        claim = {"kind": "transversal-domains", "pairs": pairs}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(
+            {"format_version": "1", "maps": [[[0, 0], [2, 0]]], "claimed_properties": [claim]}
+        ))
+        result, seconds = run_capped_cli("verify", "--claims", str(path))
+        assert (result.returncode, result.stderr) == (1, "")
+        assert result.stdout.splitlines()[1:] == [
+            "FAIL transversal-domains: domains differ from the pair transversals",
+            "claims: 1 checked, 1 failed",
+            "violations found",
+        ]
+        assert seconds < 2
+
     def test_bad_document_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -555,6 +611,19 @@ class TestColorCommand:
         monkeypatch.setenv(name, "abc")
         assert cli_main([command, path]) == 1
         assert capsys.readouterr() == ("", f"error: {name} must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize(
+        "name, value, command",
+        [("DPCOVER_ENUM_LIMIT", "-3", "color"), ("DPCOVER_PARITY_LIMIT", "-1", "audit-weight-one")],
+    )
+    def test_negative_limit_is_named(self, tmp_path, capsys, monkeypatch, name, value, command):
+        path = write_doc(tmp_path, fam([(0, 1)]))
+        monkeypatch.setenv(name, value)
+        assert cli_main([command, path]) == 1
+        assert capsys.readouterr() == ("", f"error: {name} must not be negative, got '{value}'\n")
+        monkeypatch.setenv(name, "0")  # a limit like any other
+        assert cli_main([command, path]) == 1
+        assert capsys.readouterr() == ("", "error: universe has 1 vertices, limit is 0\n")
 
     def test_count_mode(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.parity_gadget(3))
@@ -685,6 +754,21 @@ class TestSearchCommands:
             "search-minimum: 6\n"
             "consistent\n"
         )
+
+    def test_oversized_search_exits_one_at_once(self):
+        # Past 60 maps every term of the estimate is 0; summing them ran on.
+        result, _ = run_capped_cli(
+            "search-unary", "--r", "2", "--max-size", str(10**9), "--max-vertices", "6"
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: worst-case search space {2**60 - 1} exceeds 1000000000\n"
+
+    @pytest.mark.parametrize("r, name", [(10**11, "unary-even"), (10**11 + 1, "double-unary")])
+    def test_oversized_bracket_exits_one_before_forming_its_bounds(self, r, name):
+        # 1 << r at r = 10^11 asks for 12.5 GB.
+        result, _ = run_capped_cli("bracket", "--r", str(r))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {name}(r={r}) would have more than 1048576 maps\n"
 
     def test_bracket_r3(self, capsys):
         assert cli_main(["bracket", "--r", "3"]) == 0

@@ -331,6 +331,8 @@ class TestBinaryFamily:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             constructions.binary_family(0)
+        with pytest.raises(ValueError, match="^r must be >= 1$"):
+            constructions.binary_family_profile(0)
 
 
 class TestParityGadget:
@@ -503,6 +505,10 @@ class TestLiftToCover:
     def test_non_unary_input_rejected(self):
         with pytest.raises(NotUnaryError):
             constructions.lift_to_cover(constructions.binary_family(2).family)
+
+    def test_non_uniform_input_rejected(self):
+        with pytest.raises(ValueError, match="^input family must be uniform$"):
+            constructions.lift_to_cover(fam([(0, 0)], [(1, 0), (2, 0)]))
 
     def test_pivot_inside_universe_rejected(self):
         base = constructions.unary_upper_even(2).family

@@ -37,6 +37,8 @@ class TestPartialMap:
         assert phi.domain == (0, 3)
         assert phi.value(3) == 1
         assert phi.as_dict() == {0: 0, 3: 1}
+        with pytest.raises(KeyError):
+            phi.value(1)  # absent
 
     def test_duplicate_vertex_rejected_even_when_agreeing(self):
         with pytest.raises(DuplicateVertexError):
@@ -77,6 +79,7 @@ class TestFamily:
     def test_sorted_storage_and_universe(self):
         fam = Family.of([pm((4, 1)), pm((0, 0), (2, 1))])
         assert fam.maps[0] == pm((0, 0), (2, 1))
+        assert list(fam) == list(fam.maps)
         assert fam.universe == (0, 2, 4)
         assert pm((4, 1)) in fam
         assert len(fam) == 2
@@ -143,6 +146,19 @@ class TestColoring:
         assert f.value(3) == 0
         assert f.value(5) == 1
         assert f.as_dict() == {0: 1, 3: 0, 5: 1}
+
+    @pytest.mark.parametrize(
+        "universe, bits, message",
+        [
+            ((3, 1), 0, "universe must be sorted and duplicate-free"),
+            ((1, 1), 0, "universe must be sorted and duplicate-free"),
+            ((0, 1), 4, "bits out of range for universe size"),
+            ((0, 1), -1, "bits out of range for universe size"),
+        ],
+    )
+    def test_bad_universe_or_bits_rejected(self, universe, bits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Coloring(universe, bits)
 
     def test_from_assignment_round_trip(self):
         f = Coloring.from_assignment({7: 1, 2: 0})

@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import dpcover
 from dpcover import analysis, search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -40,6 +43,11 @@ def test_importing_the_package_leaves_the_cli_unloaded_until_used():
     ])
     result = run_python("-W", "error", "-c", code)
     assert result.returncode == 0, result.stderr
+
+
+def test_unknown_package_attribute_is_named():
+    with pytest.raises(AttributeError, match="^module 'dpcover' has no attribute 'nope'$"):
+        dpcover.nope
 
 
 def unread_imports(path):
