@@ -36,7 +36,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, combinations, product, takewhile
+from itertools import chain, product, takewhile
 from math import prod
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -610,15 +610,84 @@ class WeightOneAudit:
         return "consistent" if self.consistent else f"violated:{self.violations[0].clause}"
 
 
+_WHT_BATCH = 1 << 14  # cells: blocks this small are not split, and the search step
+
+
+def _lex_first(masks: np.ndarray) -> int:
+    """Of distinct masks of one popcount, the one whose sorted bit positions
+    come first: at each bit from the lowest up, the masks that set it win."""
+    bit = 0
+    while masks.size > 1:
+        hit = masks[(masks >> bit & 1) == 1]
+        if hit.size:
+            masks = hit
+        bit += 1
+    return int(masks[0])
+
+
+def _first_unbalanced(counts: np.ndarray) -> int | None:
+    """The nonzero S (a code mask) with a nonzero Walsh-Hadamard coefficient
+    sum_f (-1)^popcount(f & S) * counts[f], the smallest popcount first and
+    then the first sorted bit positions; None when there is none, that is,
+    when the table is constant.
+
+    The coefficient of S = (S_hi, S_lo), split at the top h bits, is the
+    transform over the low m = n - h bits of one block: the sum of the
+    table's 2^h rows of 2^m cells, row f_hi signed (-1)^popcount(f_hi & S_hi).
+    h is the smallest that leaves a block within _WHT_BATCH cells, or its two
+    buffers within the table's bytes.  Each block is built and transformed in
+    turn, in m passes between the two buffers: a pass writes the sums of
+    adjacent cells to the first half of the other buffer and their
+    differences to the second half, so it combines the lowest index bit and
+    rotates it to the top; after m passes every bit is combined and back in
+    place.  A pass is two numpy calls with strided reads and contiguous
+    writes.  The work is about (n + 2^h) * 2^n cell operations.  Cells are
+    int32 while the table sums below 2^31, since no partial sum exceeds that
+    sum, and int64 otherwise.  Each transformed block is searched for nonzero
+    coefficients _WHT_BATCH cells at a time, so the index arrays stay small.
+    """
+    n = counts.size.bit_length() - 1
+    dtype = np.dtype(np.int32 if int(counts.sum(dtype=np.uint64)) < 1 << 31 else np.int64)
+    h = 0
+    while 1 << (n - h) > _WHT_BATCH and dtype.itemsize << (n - h + 1) > counts.nbytes:
+        h += 1
+    m = n - h
+    rows = counts.reshape(1 << h, 1 << m)
+    x, y = np.empty(1 << m, dtype), np.empty(1 << m, dtype)
+    half = len(x) // 2
+    best: int | None = None
+    for s_hi in range(1 << h):
+        x[...] = rows[0]
+        for f_hi in range(1, 1 << h):
+            signed = np.subtract if (f_hi & s_hi).bit_count() & 1 else np.add
+            signed(x, rows[f_hi], out=x)
+        for _ in range(m):
+            np.add(x[0::2], x[1::2], out=y[:half])
+            np.subtract(x[0::2], x[1::2], out=y[half:])
+            x, y = y, x
+        if s_hi == 0:
+            x[0] = 0  # the empty S
+        for lo in range(0, len(x), _WHT_BATCH):
+            masks = s_hi << m | lo + np.flatnonzero(x[lo : lo + _WHT_BATCH])
+            if best is not None:
+                masks = np.append(masks, best)
+            if masks.size:
+                pops = np.bitwise_count(masks)
+                best = _lex_first(masks[pops == pops.min()])
+    return best
+
+
 def weight_one_audit(family: Family) -> WeightOneAudit:
     """Audit the package of facts forced on non-colorable weight-1 families.
 
     Every clause is evaluated, whatever the others find.  Clauses (b), (c)
     and (d) read one MultiplicityTable.  Only when the table is not constant
-    does clause (d) walk the subset sizes k = 1, 2, ... in turn to name an
-    unbalanced S: at size k it costs sum over maps of C(|phi|, k) dict
-    updates, and it stops at the first such size, reporting the first S in
-    sorted order.
+    does clause (d) name an unbalanced S: the first by size, then in sorted
+    order, found by one Walsh-Hadamard transform of the table
+    (_first_unbalanced: about n * 2^n cell operations, one block at a time,
+    the block's two buffers within the table's bytes unless a block has at
+    most 2^14 cells), and its two sides are weighed in one pass over the
+    maps.
     """
     _check_size(len(family.universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     violations: list[AuditViolation] = []
@@ -643,33 +712,18 @@ def weight_one_audit(family: Family) -> WeightOneAudit:
 
     # (d) By the parity identity, w(even) - w(odd) for S is 2^-n times the
     # Walsh-Hadamard coefficient of the counts at S, so some nonempty S is
-    # unbalanced exactly when the table is not constant.  Only then (else e is
-    # 0) does a scatter, one subset size k at a time, name the first such S:
-    # each map adds its weight 2^(e - |phi|) / 2^e to the even or odd side of
-    # every k-subset S of its domain, by the parity of its bits on S.
-    e = max(map(len, family.maps), default=0) if table.min() != table.max() else 0
-    for k in range(1, e + 1):
-        sides: dict[tuple[VertexId, ...], list[int]] = {}
-        for m in family.maps:
-            if len(m) < k:
-                continue
-            step = 1 << (e - len(m))
-            bits = [b for _, b in m.entries]
-            for s, b in zip(combinations(m.domain, k), combinations(bits, k)):
-                pair = sides.get(s)
-                if pair is None:
-                    pair = sides[s] = [0, 0]
-                pair[sum(b) & 1] += step
-        unbalanced = next((s for s in sorted(sides) if sides[s][0] != sides[s][1]), None)
-        if unbalanced is not None:
-            w0, w1 = (Fraction(side, 1 << e) for side in sides[unbalanced])
-            violations.append(
-                AuditViolation(
-                    "parity-balance",
-                    f"S={list(unbalanced)}: even side weighs {w0}, odd side weighs {w1}",
-                )
+    # unbalanced exactly when the table is not constant.  Only then does the
+    # transform name the first such S, whose two sides are then weighed.
+    if table.min() != table.max():
+        mask = _first_unbalanced(table.counts)
+        s = [v for i, v in enumerate(family.universe) if mask >> i & 1]
+        even, odd = sub_family(family, s)
+        violations.append(
+            AuditViolation(
+                "parity-balance",
+                f"S={s}: even side weighs {weight(even)}, odd side weighs {weight(odd)}",
             )
-            break  # deepest clause: report the first offending S only
+        )
 
     return WeightOneAudit(w, tuple(violations))
 

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dpcover import analysis, constructions, search
+from dpcover import analysis, cli, constructions, search
 from dpcover.core import Coloring, Family, make_partial_map
 from dpcover.errors import OutOfUniverseError, UniverseTooLargeError
 
@@ -635,6 +635,18 @@ class TestWeightOneAudit:
         assert parity and "S=" in parity[0].detail
         assert audit.verdict == "violated:weight-is-one"
 
+    @staticmethod
+    def assert_parity_clause_matches_oracle(family):
+        audit = analysis.weight_one_audit(family)
+        found = [v for v in audit.violations if v.clause == "parity-balance"]
+        first = slow_first_imbalance(family)
+        if first is None:
+            assert found == [], family
+        else:
+            s, w0, w1 = first
+            detail = f"S={list(s)}: even side weighs {w0}, odd side weighs {w1}"
+            assert found == [analysis.AuditViolation("parity-balance", detail)], family
+
     def test_parity_clause_matches_slow_oracle(self, rng):
         for _ in range(600):
             family = random_family(
@@ -644,15 +656,83 @@ class TestWeightOneAudit:
                 min_map_size=rng.randint(0, 1),
                 allow_empty=True,
             )
-            audit = analysis.weight_one_audit(family)
-            found = [v for v in audit.violations if v.clause == "parity-balance"]
-            first = slow_first_imbalance(family)
-            if first is None:
-                assert found == [], family
-            else:
-                s, w0, w1 = first
-                detail = f"S={list(s)}: even side weighs {w0}, odd side weighs {w1}"
-                assert found == [analysis.AuditViolation("parity-balance", detail)], family
+            self.assert_parity_clause_matches_oracle(family)
+
+    @staticmethod
+    def parity_blocks_family(rng, n):
+        """Up to three blocks of up to seven of n vertices, each holding every
+        map on it with one parity of ones.  Such a block is balanced on every
+        S but itself; a block drawn twice with both parities is balanced on
+        every S.  The first unbalanced S, if any, is a whole block."""
+        maps = set()
+        for _ in range(rng.randint(1, 3)):
+            block = rng.sample(range(n), rng.randint(1, min(7, n)))
+            parity = rng.randint(0, 1)
+            for bits in itertools.product((0, 1), repeat=len(block)):
+                if sum(bits) % 2 == parity:
+                    maps.add(make_partial_map(zip(block, bits)))
+        return Family.of(maps)
+
+    @pytest.mark.parametrize("batch", [analysis._WHT_BATCH, 1 << 7])
+    def test_parity_clause_matches_slow_oracle_up_to_twelve_vertices(
+        self, rng, monkeypatch, batch
+    ):
+        # Random families on up to 12 vertices with maps as long as the
+        # universe, planted parity blocks, and the edge cases: the empty
+        # family, {empty map} and the one-vertex families.  A 2^7-cell batch
+        # splits these tables into several blocks and batches.
+        monkeypatch.setattr(analysis, "_WHT_BATCH", batch)
+        small = [make_partial_map([]), make_partial_map([(3, 0)]), make_partial_map([(3, 1)])]
+        for k in range(len(small) + 1):
+            for maps in itertools.combinations(small, k):
+                self.assert_parity_clause_matches_oracle(Family.of(maps))
+        for _ in range(300):
+            family = random_family(
+                rng,
+                max_vertices=rng.randint(1, 12),
+                max_maps=rng.randint(1, 10),
+                min_map_size=0,
+                allow_empty=True,
+            )
+            self.assert_parity_clause_matches_oracle(family)
+        for _ in range(100):
+            family = self.parity_blocks_family(rng, rng.randint(1, 12))
+            self.assert_parity_clause_matches_oracle(family)
+
+    @pytest.mark.parametrize("batch", [analysis._WHT_BATCH, 1 << 7])
+    def test_first_unbalanced_matches_a_direct_transform(self, rng, monkeypatch, batch):
+        # Constant tables plus up to three Walsh functions (-1)^popcount(f & T),
+        # whose only nonzero coefficients lie at their T, so the first
+        # unbalanced S can be deep and can tie across blocks and batches;
+        # then random tables.
+        monkeypatch.setattr(analysis, "_WHT_BATCH", batch)
+        np_rng = np.random.default_rng(rng.randrange(1 << 32))
+        for n in range(11):
+            size = 1 << n
+            odd = np.bitwise_count(np.arange(size)[:, None] & np.arange(size)) & 1
+            walsh = 1 - 2 * odd.astype(np.int64)  # row T is the Walsh function of T
+            for dtype in (np.uint8, np.uint16):
+                top = int(np.iinfo(dtype).max)
+                for waves in range(5):
+                    if waves < 4:
+                        ts = np_rng.integers(0, size, waves)
+                        steps = np_rng.integers(1, top // 8, waves)
+                        counts = (top // 2 + steps @ walsh[ts]).astype(dtype)
+                    else:
+                        counts = np_rng.integers(0, top, size, dtype=dtype, endpoint=True)
+                    coefficients = walsh @ counts.astype(np.int64)
+                    expected = min(
+                        (s for s in range(1, size) if coefficients[s]),
+                        key=lambda s: (s.bit_count(), [i for i in range(n) if s >> i & 1]),
+                        default=None,
+                    )
+                    assert analysis._first_unbalanced(counts) == expected, (n, counts)
+
+    def test_first_unbalanced_widens_past_int32(self):
+        # The table sums to 2^32, and so does the coefficient of S = {0},
+        # which int32 cells would hold as 0.
+        counts = np.array([1 << 31, 0, 1 << 31, 0], dtype=np.uint32)
+        assert analysis._first_unbalanced(counts) == 0b01
 
     def test_parity_clause_finds_an_imbalance_at_two_vertices(self):
         audit = analysis.weight_one_audit(fam([(0, 0), (1, 0)], [(0, 1), (1, 1)]))
@@ -660,23 +740,36 @@ class TestWeightOneAudit:
             "parity-balance", "S=[0, 1]: even side weighs 1/2, odd side weighs 0"
         )
 
-    @pytest.mark.parametrize("depth", [2, 3, 4])
-    def test_parity_clause_finds_a_planted_deep_imbalance(self, depth):
+    @pytest.mark.parametrize("depth", [2, 3, 4, 12])
+    def test_parity_clause_finds_a_planted_deep_imbalance(self, depth, tmp_path, capsys):
         # The even-parity maps on `depth` vertices split evenly on every
         # smaller S and all lie on the even side of the whole block.  Next to
         # a weight-one family, which balances on every S, that block's
-        # vertices are the first unbalanced S.
-        block = [10, 12, 15, 19][:depth]
+        # vertices are the first unbalanced S.  At 12 vertices the block has
+        # 2048 maps of 12 entries, more subsets than the slow oracle can walk.
+        block = [10, 12, 15, 19, *range(20, 28)][:depth]
         planted = [
             make_partial_map(zip(block, bits))
             for bits in itertools.product((0, 1), repeat=depth)
             if sum(bits) % 2 == 0
         ]
         family = Family.of(constructions.binary_family(2).family.maps + tuple(planted))
-        assert slow_first_imbalance(family) == (tuple(block), Fraction(1, 2), Fraction(0))
+        if depth <= 4:
+            assert slow_first_imbalance(family) == (tuple(block), Fraction(1, 2), Fraction(0))
+        start = time.perf_counter()
         parity = analysis.weight_one_audit(family).violations[-1]
+        elapsed = time.perf_counter() - start
         assert parity.clause == "parity-balance"
         assert parity.detail == f"S={block}: even side weighs 1/2, odd side weighs 0"
+        assert elapsed < 1
+
+        path = tmp_path / "planted.json"
+        path.write_text(cli.serialize(family))
+        start = time.perf_counter()
+        assert cli.cli_main(["audit-weight-one", str(path)]) == 1
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out == "weight: 3/2\nviolated:weight-is-one\n"
+        assert elapsed < 1
 
     def test_limit_guard(self, monkeypatch):
         family = constructions.binary_family(3).family
@@ -740,6 +833,26 @@ class TestWeightOneAudit:
         assert audit.verdict == "consistent"
         assert elapsed < 5
         assert peak < 4 * (1 << n)  # the table holds one uint8 per coloring
+
+    def test_unbalanced_table_is_transformed_within_the_bounds(self):
+        # The same chain with the singleton map {0: 1} added: the table is
+        # not constant, so clause (d) transforms it to name S = [0].
+        n = 24
+        chain = [[(j, 1) for j in range(k)] + [(k, 0)] for k in range(n)]
+        family = fam(*chain, [(j, 1) for j in range(n)], [(0, 1)])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            audit = analysis.weight_one_audit(family)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit.violations[-1] == analysis.AuditViolation(
+            "parity-balance", "S=[0]: even side weighs 1/2, odd side weighs 1"
+        )
+        assert elapsed < 5
+        assert peak < 4 * (1 << n)
 
     def test_no_separate_audit_limit(self, monkeypatch):
         monkeypatch.setenv("DPCOVER_AUDIT_LIMIT", "6")
