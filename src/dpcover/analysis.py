@@ -14,17 +14,15 @@ match.  A whole pass costs w(F) * 2^n cell updates divided by the lanes per
 word, plus one operation per (map, chunk) pair that the map's high entries
 let through.
 
-Chunks hold at most DEFAULT_CHUNK = 2^20 codes, a fixed policy that only
-_Subcubes reads.  Full passes (the count, avoiding_codes, MultiplicityTable,
-the no-coloring claim) take chunks of that size.  A first-witness scan takes
-[0, FIRST_CHUNK) = [0, 2^12) first and then [2^j, 2^(j + 1)) for
-j = 12, 13, ... up to that size, so its cost follows where the witness
-lies; the chunks are ascending either way, so the witness is the smallest
-avoiding code.  All weights are exact Fractions whose denominators are
-powers of two.
+Every scan walks chunks of DEFAULT_CHUNK = 2^20 codes (a fixed policy that
+only _Subcubes reads) from code 0 up, so the first chunk holding an
+avoiding code gives the smallest one.  A first-witness scan first probes
+[0, FIRST_CHUNK) = [0, 2^12) once, so a witness there costs one small chunk.
+All weights are exact Fractions whose denominators are powers of two.
 
 Two size limits guard the enumeration, each overridable only by its
-environment variable: DPCOVER_ENUM_LIMIT (default 30 vertices) for the scan in
+environment variable and never above 64 vertices, the width of the scan's
+masks: DPCOVER_ENUM_LIMIT (default 30 vertices) for the scan in
 find_coloring, and DPCOVER_PARITY_LIMIT (default 24) for everything that holds
 a 2^n table or all the avoiders: avoiding_codes, MultiplicityTable,
 parity_identity, weight_one_audit and the claims.
@@ -58,13 +56,13 @@ from .errors import OutOfUniverseError, UniverseTooLargeError
 DEFAULT_ENUM_LIMIT = 30
 DEFAULT_PARITY_LIMIT = 24
 DEFAULT_CHUNK = 1 << 20
-FIRST_CHUNK = 1 << 12  # a first-witness scan's first chunk; later ones double
+FIRST_CHUNK = 1 << 12  # a first-witness scan's probe, walked before the full chunks
 
 
 def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> None:
     """Raise UniverseTooLargeError when n exceeds the limit: the environment
-    variable env_name if it is set, else default.  A value that is not an
-    integer, or is negative, raises ValueError naming the variable."""
+    variable env_name if it is set, else default, at most 64.  A value that
+    is not an integer, or is negative, raises ValueError naming it."""
     raw = os.environ.get(env_name)
     try:
         cap = int(raw) if raw else default
@@ -72,6 +70,7 @@ def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> 
         raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
     if cap < 0:
         raise ValueError(f"{env_name} must not be negative, got {raw!r}")
+    cap = min(cap, 64)  # _Subcubes reads codes through uint64 masks
     if n > cap:
         raise UniverseTooLargeError(f"{what} has {n} vertices, limit is {cap}")
 
@@ -93,18 +92,18 @@ class _Subcubes:
     """The family's maps as subcubes of the code space, counted chunk by chunk.
 
     A chunk [lo, lo + 2^j) holds the 2^j codes that share their bits j..
-    (lo is a multiple of 2^j).  Chunks have at most 2^k codes, 2^k the
-    largest power of two not above DEFAULT_CHUNK (at most 2^n), and at least
-    2^first, the same power for FIRST_CHUNK in a first-witness scan (else
-    2^k): `chunks` lists them from [0, 2^first) on, doubling up to 2^k.
-    Both constants are read when the object is built.
+    (lo is a multiple of 2^j).  A full chunk has 2^k codes, 2^k the largest
+    power of two not above DEFAULT_CHUNK (at most 2^n).  A first-witness scan
+    also has a probe of 2^first codes, the same power for FIRST_CHUNK (else
+    first = k, and there is no probe).  Both constants are read when the
+    object is built.
 
     Cells are added a word at a time.  The lowest `lanes` code bits pick a
     lane of one unsigned `word` of up to 64 bits (3 bits at uint8, 2 at
     uint16, 1 at uint32, fewer when 2^first cells fill less than a word), and
     a chunk is a (2,)*(j - lanes) view of words whose axis j - 1 - i holds
     bit i.  Each map keeps its entries on bits lanes .. k - 1 as an index
-    into that view at j = k, whose tail serves every smaller j; its entries
+    into that view at j = k, whose tail serves the probe; its entries
     on bits first.. as a (mask, pattern) pair shifted down by first; and its
     entries on the lane bits as one word with a 1 in every lane they match.
     No lane carries into the next: a code lies in at most len(family) maps,
@@ -143,14 +142,13 @@ class _Subcubes:
         self.patterns = np.array([pattern >> first for pattern in patterns], dtype=np.uint64)
 
     def chunks(self) -> Iterator[tuple[int, int]]:
-        """(lo, j) for each chunk [lo, lo + 2^j), ascending: [0, 2^first),
-        then [2^j, 2^(j + 1)) for j = first, first + 1, ... below k, then
-        chunks of 2^k codes up to 2^n."""
-        lo, j = 0, self.first
-        while lo < 1 << self.n:
-            yield lo, j
-            lo += 1 << j
-            j = min(lo.bit_length() - 1, self.k)
+        """(lo, j) for each chunk [lo, lo + 2^j) in scan order: the probe
+        [0, 2^first) when first < k, then the full chunks of 2^k codes from 0
+        up to 2^n.  The first full chunk counts the probe's codes again."""
+        if self.first < self.k:
+            yield 0, self.first
+        for lo in range(0, 1 << self.n, 1 << self.k):
+            yield lo, self.k
 
     def counts(self, lo: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """Multiplicity of each code in the chunk [lo, lo + 2^j): the one

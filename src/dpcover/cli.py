@@ -383,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_color = sub.add_parser("color", help="search for an avoiding coloring")
     p_color.add_argument("file", nargs="?", default="-")
-    p_color.add_argument("--count", action="store_true")
-    p_color.add_argument("--sample", type=int, default=None)
+    mode = p_color.add_mutually_exclusive_group()
+    mode.add_argument("--count", action="store_true")
+    mode.add_argument("--sample", type=int, default=None)
     p_color.add_argument("--seed", type=int, default=0)
     p_color.set_defaults(func=_cmd_color)
 
@@ -424,7 +425,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (DpcoverError, ValueError, OSError) as exc:
+    except (DpcoverError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -533,11 +533,12 @@ class TestKernelAgainstOracles:
         maps.append([(j, other >> j & 1) for j in range(n)])
         return fam(*maps)
 
-    def test_first_witness_across_growing_chunks(self, monkeypatch):
-        # 14 vertices: first-witness scans take [0, 2^12), [2^12, 2^13) and
-        # [2^13, 2^14); with a cap of 2^12 or 8 the chunks stop growing.
+    def test_first_witness_in_the_probe_and_the_full_chunks(self, monkeypatch):
+        # 14 vertices: first-witness scans probe [0, 2^12), then walk one
+        # full chunk, or two of 2^13 codes; with a cap of 2^12 or 8 there is
+        # no probe.
         n, k = 14, analysis.FIRST_CHUNK.bit_length() - 1
-        chunks = (8, 1 << k, analysis.DEFAULT_CHUNK)
+        chunks = (8, 1 << k, 1 << k + 1, analysis.DEFAULT_CHUNK)
         for first in (0, (1 << k) - 1, 1 << k, (1 << k + 1) - 1, 1 << k + 1, (1 << n) - 1, None):
             family = self.first_code_family(n, first)
             free = [code for code, m in enumerate(slow_multiplicities(family)) if m == 0]
@@ -550,6 +551,29 @@ class TestKernelAgainstOracles:
                 else:
                     assert report.witness == Coloring(family.universe, first)
                     assert report.enumerated == first + 1
+
+    def test_chunks_visited(self, monkeypatch):
+        visited = []
+        counts = analysis._Subcubes.counts
+
+        def recording(cubes, lo, j, out=None):
+            visited.append((lo, j))
+            return counts(cubes, lo, j, out)
+
+        monkeypatch.setattr(analysis._Subcubes, "counts", recording)
+        # A non-colorable family at the default cap: the probe and one chunk.
+        analysis.find_coloring(self.first_code_family(20, None))
+        assert visited == [(0, 12), (0, 20)]
+        monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 1 << 13)
+        for first, count, want in [
+            (None, False, [(0, 12), (0, 13), (8192, 13)]),
+            ((1 << 12) - 1, False, [(0, 12)]),
+            (1 << 12, False, [(0, 12), (0, 13)]),
+            (1 << 12, True, [(0, 13), (8192, 13)]),
+        ]:
+            visited.clear()
+            analysis.find_coloring(self.first_code_family(14, first), count=count)
+            assert visited == want, (first, count)
 
     def test_count_mode_holds_one_chunk(self, monkeypatch):
         # 2^20 - 1 avoiders in one chunk of 2^20 one-byte cells: counting them

@@ -625,6 +625,30 @@ class TestColorCommand:
         assert cli_main([command, path]) == 1
         assert capsys.readouterr() == ("", "error: universe has 1 vertices, limit is 0\n")
 
+    @pytest.mark.parametrize(
+        "name, argv, vertices, message",
+        [
+            ("DPCOVER_ENUM_LIMIT", ["color"], 90, "error: universe has 90 vertices, limit is 64\n"),
+            ("DPCOVER_ENUM_LIMIT", ["color", "--count"], 90, "error: universe has 90 vertices, limit is 64\n"),
+            ("DPCOVER_PARITY_LIMIT", ["audit-weight-one"], 44, "error: Unable to allocate 16.0 TiB"),
+        ],
+    )
+    def test_raised_limit_gives_one_error_line(self, tmp_path, monkeypatch, name, argv, vertices, message):
+        # Above 64 vertices the scan's uint64 masks would overflow; the
+        # 44-vertex table needs 16 TiB, past the child's address-space cap.
+        path = write_doc(tmp_path, fam(*([(v, 1 - v % 2)] for v in range(vertices))))
+        monkeypatch.setenv(name, "100")
+        result, _ = run_capped_cli(*argv, path)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+
+    def test_count_and_sample_together_are_a_usage_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, constructions.binary_family(3))
+        with pytest.raises(SystemExit) as info:
+            cli_main(["color", path, "--count", "--sample", "5"])
+        assert info.value.code == 2
+        assert "argument --sample: not allowed with argument --count" in capsys.readouterr().err
+
     def test_count_mode(self, tmp_path, capsys):
         path = write_doc(tmp_path, constructions.parity_gadget(3))
         assert cli_main(["color", path, "--count"]) == 0

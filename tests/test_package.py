@@ -15,10 +15,10 @@ from dpcover import analysis, search
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, cwd=cwd
     )
 
 
@@ -27,6 +27,27 @@ def test_cli_module_runs_without_warnings():
     assert result.returncode == 0
     assert result.stderr == ""
     assert '"source": "gadget:k43-cover"' in result.stdout
+
+
+def test_a_failing_property_test_fails_without_ending_the_run(tmp_path):
+    # Hypothesis's failure report imports libcst, which warns that
+    # mypy_extensions.TypedDict is deprecated; under the repo's
+    # filterwarnings = ["error"] alone that ended pytest with INTERNALERROR.
+    test = tmp_path / "test_property.py"
+    test.write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test(x):\n"
+        "    assert x != x\n"
+    )
+    config = SRC.parent / "pyproject.toml"
+    result = run_python(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), str(test), cwd=tmp_path
+    )
+    assert result.returncode == 1, result.stdout
+    assert "1 failed" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
 
 
 def test_importing_the_package_leaves_the_cli_unloaded_until_used():
