@@ -3,17 +3,23 @@
 The search enumerates unary r-uniform families over a fixed vertex pool in
 two phases.  Shallow levels run breadth-first with exact isomorph rejection:
 two families get the same canonical key iff one is carried to the other by a
-vertex bijection combined with an optional global 0/1 flip.  Deeper levels
-extend each shallow representative by ascending-index map subsets, which
-visits every completion set exactly once per representative.  No two maps of a
-family share a domain: phase 1 skips the maps whose domain the family already
-uses, and the completion draws from the maps of the domains the representative
-leaves free, resuming after each chosen map at the first map of the next
-domain.  Non-colorability is decided by a survivor bitmask (one bit per
-coloring of the pool); a family is non-colorable exactly when its survivor
-mask is zero, and a branch dies when the remaining map budget cannot kill the
-remaining survivors.  Representatives complete in key order, and once one has
-a witness each later one gets the running best minus one as its budget.
+vertex bijection combined with an optional global 0/1 flip.  Each shallow
+representative keys only one child per shape of the added map: its entries on
+the vertices the representative touches and the sorted bits of the rest.
+Children of equal shape are isomorphic, so the others are counted but never
+keyed, as in McKay's orderly generation (J. Algorithms 26, 1998), which
+never canonizes two children in one orbit of the parent's symmetry group.
+Deeper levels extend each shallow representative by ascending-index map
+subsets, which visits every completion set exactly once per representative.
+No two maps of a family share a domain: phase 1 skips the maps whose domain
+the family already uses, and the completion draws from the maps of the domains
+the representative leaves free, resuming after each chosen map at the first
+map of the next domain.  Non-colorability is decided by a survivor bitmask
+(one bit per coloring of the pool); a family is non-colorable exactly when its
+survivor mask is zero, and a branch dies when the remaining map budget cannot
+kill the remaining survivors.  Representatives complete in key order, and
+once one has a witness each later one gets the running best minus one as its
+budget.
 
 Every reported witness is re-verified independently through analysis before
 it leaves this module.
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -76,8 +82,10 @@ def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
     and the codes fix the maps emitted, no two maps being equal, so children
     of one state differ in new labels and of two states in old ones.  A code
     entry (label, bit) is the int 2 * label + bit, which sorts the same way;
-    sigma holds twice the label.  The tie cap applies per orientation; the
-    caller bounds the universe.
+    sigma holds twice the label.  The tie cap applies per orientation, to the
+    states each step keeps: an option with z fresh zeros and o fresh ones
+    keeps z! * o! of them.  After the last emission they are only counted,
+    not built.  The caller bounds the universe.
     """
     flipped = [tuple((v, 1 - bit) for v, bit in entries) for entries in maps]
     oriented = (maps, flipped)
@@ -85,7 +93,7 @@ def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
     states = [(0, {}, everything), (1, {}, everything)]  # (orientation, sigma, maps left)
     tails: dict[tuple[int, int, int], tuple[int, ...]] = {}  # (k, zeros, ones)
     out = bytearray()
-    for _ in range(len(maps)):
+    for step in range(len(maps)):
         k = len(states[0][1])  # every state has labeled the same number
         best_code = None
         options = []  # (*state, map_index) achieving best_code
@@ -120,17 +128,19 @@ def _key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
         states = []
         sizes = [0, 0]
         for o, sigma, remaining, m_idx in options:
-            rest = remaining - {m_idx}
             zeros = [v for v, bit in oriented[o][m_idx] if not bit and v not in sigma]
             ones = [v for v, bit in oriented[o][m_idx] if bit and v not in sigma]
+            sizes[o] += factorial(len(zeros)) * factorial(len(ones))
+            if sizes[o] > _KEY_STATE_CAP:
+                raise SearchSpaceTooLargeError(
+                    f"canonical key tie set exceeded {_KEY_STATE_CAP} states"
+                )
+            if step == len(maps) - 1:  # no later step reads the states
+                continue
+            rest = remaining - {m_idx}
             labels = range(2 * k, 2 * (k + len(zeros) + len(ones)), 2)
             for zs in permutations(zeros):
                 for os_ in permutations(ones):
-                    sizes[o] += 1
-                    if sizes[o] > _KEY_STATE_CAP:
-                        raise SearchSpaceTooLargeError(
-                            f"canonical key tie set exceeded {_KEY_STATE_CAP} states"
-                        )
                     states.append((o, sigma | dict(zip(zs + os_, labels)), rest))
     return bytes(out)
 
@@ -279,6 +289,62 @@ def _completion_dfs(
     return best_size, best_indices, nodes
 
 
+def _phase1(
+    pool: _Pool, max_size: int, depth: int
+) -> tuple[list[tuple[tuple[int, ...], int, bytes]], int, int]:
+    """Breadth-first levels 1 .. depth with exact isomorph rejection.
+
+    Returns the last level as (pool indices, survivor mask, key) in first-seen
+    order, the children examined, and the classes keyed over all levels.  A
+    child is a representative R of the previous level plus one pool map m
+    whose domain R does not use.  Its shape is m's entries on the vertices R
+    touches plus the sorted bits of its entries on the others.  Children of
+    one R with equal shapes are isomorphic: a permutation of the untouched
+    vertices fixes every map of R and carries one map to the other.  So only
+    the first child of each shape is keyed; a later one is counted, and its
+    key is already seen.  A keyed child whose survivors the remaining budget
+    cannot kill joins no level.
+    """
+    examined = 0
+    classes_seen = 0
+    level: list[tuple[tuple[int, ...], int, bytes]] = [((), pool.full, b"")]
+    # No family of at most _CANONICAL_DEPTH maps is non-colorable here: at
+    # r >= 2 its weight is at most 3/4, and at r = 1 each vertex's one map
+    # forbids one of its two colors.  So phase 1 finds no witness.
+    for size in range(1, depth + 1):
+        seen: dict[bytes, None] = {}
+        next_level: list[tuple[tuple[int, ...], int, bytes]] = []
+        limit = (max_size - size) * pool.per_map_kill
+        for indices, surv, _ in level:
+            used = {pool.domain_id[i] for i in indices}
+            touched = {v for i in indices for v, _ in pool.maps[i]}
+            shapes = set()
+            for idx in range(len(pool.maps)):
+                if pool.domain_id[idx] in used:
+                    continue
+                examined += 1
+                entries = pool.maps[idx]
+                shape = (
+                    tuple(e for e in entries if e[0] in touched),
+                    tuple(sorted(bit for v, bit in entries if v not in touched)),
+                )
+                if shape in shapes:
+                    continue
+                shapes.add(shape)
+                child = tuple(sorted(indices + (idx,)))
+                key = _key_of_entries([pool.maps[i] for i in child])
+                if key in seen:
+                    continue
+                seen[key] = None
+                child_surv = surv & ~pool.kill[idx]
+                if child_surv.bit_count() > limit:
+                    continue
+                next_level.append((child, child_surv, key))
+        classes_seen += len(seen)
+        level = next_level
+    return level, examined, classes_seen
+
+
 def search_min_unary(
     r: int, max_size: int, max_vertices: int, *, workers: int = 1
 ) -> MinimalityReport:
@@ -290,10 +356,12 @@ def search_min_unary(
     witness, or reports that all such families are colorable.  Pruning uses
     exact canonical keys at shallow levels, the survivor-count bound, and the
     weight certificate: a family whose weight cannot reach 1 within the map
-    budget is never non-colorable.  Phase 2 gives each representative after
-    the first witness the running best minus one as its budget, which keeps
-    the witness of a full budget; families_examined counts the nodes actually
-    visited.  The search runs in the calling process.  `workers` has no
+    budget is never non-colorable.  The shallow levels key one child per
+    shape of each representative (see _phase1); families_examined still
+    counts every child, keyed or not.  Phase 2 gives each representative
+    after the first witness the running best minus one as its budget, which
+    keeps the witness of a full budget; families_examined counts the nodes
+    actually visited.  The search runs in the calling process.  `workers` has no
     effect: it is kept only because the benchmark (perfbench/workloads.py)
     passes it, and goes once the benchmark no longer does.
     """
@@ -318,34 +386,7 @@ def search_min_unary(
 
     pool = _Pool(r, max_vertices)
     depth = min(_CANONICAL_DEPTH, max_size)
-
-    examined = 0
-    classes_seen = 0
-    level: list[tuple[tuple[int, ...], int, bytes]] = [((), pool.full, b"")]
-    # No family of at most _CANONICAL_DEPTH maps is non-colorable here: at
-    # r >= 2 its weight is at most 3/4, and at r = 1 each vertex's one map
-    # forbids one of its two colors.  So phase 1 finds no witness.
-    for size in range(1, depth + 1):
-        seen: dict[bytes, None] = {}
-        next_level: list[tuple[tuple[int, ...], int, bytes]] = []
-        for indices, surv, _ in level:
-            used = {pool.domain_id[i] for i in indices}
-            for idx in range(len(pool.maps)):
-                if pool.domain_id[idx] in used:
-                    continue
-                child = tuple(sorted(indices + (idx,)))
-                examined += 1
-                key = _key_of_entries([pool.maps[i] for i in child])
-                if key in seen:
-                    continue
-                seen[key] = None
-                child_surv = surv & ~pool.kill[idx]
-                remaining = max_size - size
-                if child_surv.bit_count() > remaining * pool.per_map_kill:
-                    continue
-                next_level.append((child, child_surv, key))
-        classes_seen += len(seen)
-        level = next_level
+    level, examined, classes_seen = _phase1(pool, max_size, depth)
 
     best_size: int | None = None
     best_indices: tuple[int, ...] | None = None

@@ -497,6 +497,43 @@ def slow_key_of_entries(maps: list[tuple[tuple[int, int], ...]]) -> bytes:
     return _encode_sequence(min(_min_code_sequence(maps), _min_code_sequence(flipped)))
 
 
+# Reference for search._phase1 without the shape skip: every child is keyed,
+# with the reference key.
+def slow_phase1(
+    pool, max_size: int, depth: int
+) -> tuple[list[tuple[tuple[int, ...], int, bytes]], int, int]:
+    """Breadth-first levels 1 .. depth with exact isomorph rejection.
+
+    Returns the last level as (pool indices, survivor mask, key) in first-seen
+    order, the children examined, and the classes keyed over all levels.
+    """
+    examined = 0
+    classes_seen = 0
+    level = [((), pool.full, b"")]
+    for size in range(1, depth + 1):
+        seen: dict[bytes, None] = {}
+        next_level = []
+        for indices, surv, _ in level:
+            used = {pool.domain_id[i] for i in indices}
+            for idx in range(len(pool.maps)):
+                if pool.domain_id[idx] in used:
+                    continue
+                child = tuple(sorted(indices + (idx,)))
+                examined += 1
+                key = slow_key_of_entries([pool.maps[i] for i in child])
+                if key in seen:
+                    continue
+                seen[key] = None
+                child_surv = surv & ~pool.kill[idx]
+                remaining = max_size - size
+                if child_surv.bit_count() > remaining * pool.per_map_kill:
+                    continue
+                next_level.append((child, child_surv, key))
+        classes_seen += len(seen)
+        level = next_level
+    return level, examined, classes_seen
+
+
 def _slow_is_constant(codes: np.ndarray, ranks) -> np.ndarray:
     if not ranks:
         return np.ones(codes.shape, dtype=bool)

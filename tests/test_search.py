@@ -96,6 +96,24 @@ class TestCanonicalKey:
         as_given = oracles._encode_sequence(oracles._min_code_sequence(maps))
         assert search._key_of_entries(maps) == as_given
 
+    def test_cap_on_the_last_step_alone(self, monkeypatch):
+        # The singleton is emitted first and keeps one state; the last map's
+        # three fresh zeros then tie in 3! orders, which are only counted.
+        maps = [((0, 0),), ((1, 0), (2, 0), (3, 0))]
+        for cap, raises in [(5, True), (6, False)]:
+            monkeypatch.setattr(search, "_KEY_STATE_CAP", cap)
+            monkeypatch.setattr(oracles, "_KEY_STATE_CAP", cap)
+            outcomes = []
+            for key_of in (search._key_of_entries, oracles.slow_key_of_entries):
+                try:
+                    outcomes.append(key_of(maps))
+                except SearchSpaceTooLargeError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], str) == raises
+            if raises:
+                assert outcomes[0] == f"canonical key tie set exceeded {cap} states"
+
     def test_tie_state_cap(self):
         # Ten interchangeable singletons tie on every step, so the kept
         # state set grows factorially until the cap trips.
@@ -334,9 +352,27 @@ class TestRunningBestBudget:
         assert pruned.families_examined <= full.families_examined
 
 
+class TestPhase1AgainstOracle:
+    """The shape skip against the loop that keys every child."""
+
+    # Phase 1 alone stays small at (3, 8, 5); only the completion trips the cap.
+    @pytest.mark.parametrize(
+        "r,max_size,max_vertices",
+        [params for params in _DFS_PARAMS if params not in _TOO_LARGE] + [(3, 8, 5)],
+    )
+    def test_same_levels_examined_and_classes(self, r, max_size, max_vertices):
+        pool = search._Pool(r, max_vertices)
+        depth = min(search._CANONICAL_DEPTH, max_size)
+        got = search._phase1(pool, max_size, depth)
+        assert got == oracles.slow_phase1(pool, max_size, depth)
+        assert got[0]
+
+
 class TestPhase1Keys:
-    @pytest.mark.parametrize("max_vertices", [6, 7])
-    def test_keys_match_canonical_key(self, monkeypatch, max_vertices):
+    @pytest.mark.parametrize(
+        "max_size,max_vertices,keys", [(4, 6, 82), (6, 6, 279), (6, 7, 279)]
+    )
+    def test_keys_match_canonical_key(self, monkeypatch, max_size, max_vertices, keys):
         fast = search._key_of_entries
         seen = []
 
@@ -346,9 +382,9 @@ class TestPhase1Keys:
             return key
 
         monkeypatch.setattr(search, "_key_of_entries", record)
-        search.search_min_unary(2, 6, max_vertices)
+        search.search_min_unary(2, max_size, max_vertices)
         monkeypatch.undo()
-        assert len(seen) > 100
+        assert len(seen) == keys
         for maps, key in seen:
             family = Family.of([make_partial_map(entries) for entries in maps])
             assert key == search.canonical_key(family).data
