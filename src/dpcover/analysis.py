@@ -1,18 +1,21 @@
 """Certification engine: exhaustive colorability, exact weights, parity checks.
 
 Colorings over a sorted n-vertex universe are the integers 0 .. 2^n - 1 (bit i
-colors the i-th vertex).  Every exhaustive verdict reads one kernel: the
-multiplicity of each code, i.e. how many maps it contains.  The kernel works
-on chunks of 2^j codes that share their high n - j bits.  A map whose high
-entries disagree with the chunk is skipped; every other map adds to the
-subcube its low entries fix in the chunk.  Counts use the smallest unsigned
-dtype that holds len(family), since no code lies in more maps than that, so
-the cells of one 64-bit word can be added in one operation without carries:
-the lowest code bits pick a lane of the word (8 lanes at uint8, 4 at uint16,
-2 at uint32), and a map adds a word with a 1 in each lane its low entries
-match.  A whole pass costs w(F) * 2^n cell updates divided by the lanes per
-word, plus one operation per (map, chunk) pair that the map's high entries
-let through.
+colors the i-th vertex).  Every exhaustive verdict reads one kernel, which
+marks each code with the maps that contain it.  The kernel works on chunks
+of 2^j codes that share their high n - j bits.  A map whose high entries
+disagree with the chunk is skipped; every other map marks the subcube its
+low entries fix in the chunk, one 64-bit word at a time: the lowest code
+bits pick a lane of the word, and a map marks a word with a 1 in each lane
+its low entries match.  The cell width follows the reader.  The scan and
+the avoiding codes ask only whether some map holds a code, so a cell is one
+bit (64 lanes; a map ORs its word in), and a chunk of 2^20 codes takes
+128 KB.  The multiplicity table asks how many, so its cells have the
+smallest unsigned dtype that holds len(family), since no code lies in more
+maps than that, and a map adds its word without carries (8 lanes at uint8,
+4 at uint16, 2 at uint32; 1-4 MB per 2^20 codes).  A whole pass costs
+w(F) * 2^n cell updates divided by the lanes per word, plus one operation
+per (map, chunk) pair that the map's high entries let through.
 
 Every scan walks chunks of DEFAULT_CHUNK = 2^20 codes (a fixed policy that
 only _Subcubes reads) from code 0 up, so the first chunk holding an
@@ -36,7 +39,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, product, takewhile
 from math import prod
-from operator import itemgetter
+from operator import iadd, ior, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -75,21 +78,33 @@ def _check_size(n: int, env_name: str, default: int, what: str = "universe") -> 
         raise UniverseTooLargeError(f"{what} has {n} vertices, limit is {cap}")
 
 
+_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 @cache
-def _lane_words(dtype: np.dtype, lanes: int) -> tuple[np.dtype, list]:
-    """The unsigned word that packs 2^lanes cells of `dtype`, and one word per
-    (mask, pattern) over the low `lanes` code bits, at index mask << lanes |
-    pattern: 1 in every lane whose code matches pattern on mask.  The words
-    are read from an array of cells, so they hold whatever the byte order."""
+def _lane_words(dtype: np.dtype | None, lanes: int) -> tuple[np.dtype, np.ndarray]:
+    """The unsigned word that packs 2^lanes cells, and one word per (mask,
+    pattern) over the low `lanes` code bits, at index mask << lanes |
+    pattern, marking every lane whose code matches pattern on mask.  Cells
+    of `dtype` are marked with a 1 and read from an array of cells, so the
+    words hold whatever the byte order.  With dtype None a cell is one bit:
+    lane c is bit c of a little-endian uint64, and bits 2^lanes.. are not
+    cells."""
     size = 1 << lanes
-    mask, pattern = np.divmod(np.arange(size * size), size)
-    cells = (np.arange(size) & mask[:, None]) == pattern[:, None]
+    codes = np.arange(size)
+    cells = np.zeros((size, size, size), dtype=bool)  # [mask, pattern, code]
+    cells[codes[:, None], codes & codes[:, None], codes] = True
+    cells = cells.reshape(size * size, size)
+    if dtype is None:
+        bits = np.packbits(cells, axis=1, bitorder="little")
+        word = np.dtype("<u8")
+        return word, np.pad(bits, ((0, 0), (0, 8 - bits.shape[1]))).view(word).ravel()
     word = np.dtype(f"u{dtype.itemsize << lanes}")
-    return word, list(cells.astype(dtype).view(word).ravel())
+    return word, cells.astype(dtype).view(word).ravel()
 
 
 class _Subcubes:
-    """The family's maps as subcubes of the code space, counted chunk by chunk.
+    """The family's maps as subcubes of the code space, marked chunk by chunk.
 
     A chunk [lo, lo + 2^j) holds the 2^j codes that share their bits j..
     (lo is a multiple of 2^j).  A full chunk has 2^k codes, 2^k the largest
@@ -98,48 +113,65 @@ class _Subcubes:
     first = k, and there is no probe).  Both constants are read when the
     object is built.
 
-    Cells are added a word at a time.  The lowest `lanes` code bits pick a
-    lane of one unsigned `word` of up to 64 bits (3 bits at uint8, 2 at
-    uint16, 1 at uint32, fewer when 2^first cells fill less than a word), and
-    a chunk is a (2,)*(j - lanes) view of words whose axis j - 1 - i holds
-    bit i.  Each map keeps its entries on bits lanes .. k - 1 as an index
-    into that view at j = k, whose tail serves the probe; its entries
-    on bits first.. as a (mask, pattern) pair shifted down by first; and its
-    entries on the lane bits as one word with a 1 in every lane they match.
-    No lane carries into the next: a code lies in at most len(family) maps,
-    and the cell dtype holds that.
+    The cell width follows the reader.  Containment readers (the scan and
+    the avoiding codes) ask only whether some map holds a code: a cell is
+    one bit, and a map ORs its bits into the words.  The multiplicity table
+    (`multiplicity=True`) asks how many: a cell has the smallest unsigned
+    `dtype` that holds len(family), and a map adds.  No lane carries into
+    the next, since a code lies in at most len(family) maps.  The lowest
+    `lanes` code bits pick a lane of one unsigned `word` of up to 64 bits
+    (6 bits for one-bit cells, 3 at uint8, 2 at uint16, 1 at uint32, fewer
+    when 2^first codes fill less than a word), and a chunk is a
+    (2,)*(j - lanes) view of words whose axis j - 1 - i holds bit i.
+
+    Each map keeps its entries on bits first.. as a (mask, pattern) pair
+    shifted down by first, which picks the maps a chunk lets through.  The
+    first chunk that lets a map through builds the rest: its entries on
+    bits lanes .. k - 1 as an index into the view at j = k, whose tail
+    serves the probe, and its entries on the lane bits as one word with a
+    1 in every lane they match.
     """
 
-    def __init__(self, family: Family, rank: dict[VertexId, int], *, first_witness=False):
+    def __init__(
+        self, family: Family, rank: dict[VertexId, int], *, first_witness=False, multiplicity=False
+    ):
         self.n = n = len(rank)
         self.k = k = min(n, DEFAULT_CHUNK.bit_length() - 1)
         self.first = first = min(k, FIRST_CHUNK.bit_length() - 1) if first_witness else k
-        self.dtype = np.min_scalar_type(len(family))
-        self.lanes = lanes = min(first, (8 // self.dtype.itemsize).bit_length() - 1)
-        self.word, lane_words = _lane_words(self.dtype, lanes)
-        top = k - 1
-        masks, patterns, self.cubes = [], [], []
+        self.dtype = np.min_scalar_type(len(family)) if multiplicity else None
+        per_word = 64 if self.dtype is None else 8 // self.dtype.itemsize
+        self.lanes = min(first, per_word.bit_length() - 1)
+        self.word, self.lane_words = _lane_words(self.dtype, self.lanes)
+        self.update = ior if self.dtype is None else iadd
+        self.maps, self.rank = family.maps, rank
+        self.cubes: list = [None] * len(family)
+        masks, patterns = [], []
         for m in family.maps:
             mask = pattern = 0
-            cube: list = [slice(None)] * (k - lanes)
             for v, bit in m.entries:
-                i = rank[v]
-                if lanes <= i < k:
-                    cube[top - i] = bit
-                    if i < first:
-                        continue
-                mask |= 1 << i
-                pattern |= bit << i
+                i = rank[v] - first
+                if i >= 0:
+                    mask |= 1 << i
+                    pattern |= bit << i
             masks.append(mask)
             patterns.append(pattern)
-            self.cubes.append(tuple(cube))
-        lane = (1 << lanes) - 1
-        self.lane_words = [
-            lane_words[(mask & lane) << lanes | pattern & lane]
-            for mask, pattern in zip(masks, patterns)
-        ]
-        self.masks = np.array([mask >> first for mask in masks], dtype=np.uint64)
-        self.patterns = np.array([pattern >> first for pattern in patterns], dtype=np.uint64)
+        self.masks = np.array(masks, dtype=np.uint64)
+        self.patterns = np.array(patterns, dtype=np.uint64)
+
+    def _cube(self, m: int) -> tuple[tuple, Any]:
+        """Map m's index into a full chunk's view and its lane word."""
+        lanes, top, rank = self.lanes, self.k - 1, self.rank
+        cube: list = [slice(None)] * (self.k - lanes)
+        mask = pattern = 0
+        for v, bit in self.maps[m].entries:
+            i = rank[v]
+            if i < lanes:
+                mask |= 1 << i
+                pattern |= bit << i
+            elif i <= top:
+                cube[top - i] = bit
+        self.cubes[m] = built = tuple(cube), self.lane_words[mask << lanes | pattern]
+        return built
 
     def chunks(self) -> Iterator[tuple[int, int]]:
         """(lo, j) for each chunk [lo, lo + 2^j) in scan order: the probe
@@ -150,21 +182,51 @@ class _Subcubes:
         for lo in range(0, 1 << self.n, 1 << self.k):
             yield lo, self.k
 
-    def counts(self, lo: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Multiplicity of each code in the chunk [lo, lo + 2^j): the one
-        containment kernel.
+    def cells(self, lo: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The chunk [lo, lo + 2^j), each code's cell marked by every map that
+        holds it: the one containment kernel.
 
-        Adds into `out`, 2^j zeroed cells of `dtype`, or into a new array.
+        Marks `out`, the chunk's zeroed cells, or a new array: 2^(j - lanes)
+        words of one-bit cells, or 2^j cells of `dtype`.
         """
         if out is None:
-            out = np.zeros(1 << j, dtype=self.dtype)
+            if self.dtype is None:
+                out = np.zeros(1 << (j - self.lanes), dtype=self.word)
+            else:
+                out = np.zeros(1 << j, dtype=self.dtype)
         words = out.view(self.word).reshape((2,) * (j - self.lanes))
         fixed = np.uint64((1 << 64) - (1 << (j - self.first)))  # bits j.., shifted
         hit = (np.uint64(lo >> self.first) & self.masks) == (self.patterns & fixed)
         cut = self.k - j
+        cubes, update = self.cubes, self.update
         for m in np.flatnonzero(hit).tolist():
-            words[self.cubes[m][cut:]] += self.lane_words[m]
+            cube, lane_word = cubes[m] or self._cube(m)
+            cube = cube[cut:]
+            words[cube] = update(words[cube], lane_word)
         return out
+
+    def lowest_clear(self, words: np.ndarray) -> int | None:
+        """The offset of the chunk's first code that no map holds, or None:
+        the lowest clear bit of the first word with one."""
+        full = (1 << (1 << self.lanes)) - 1
+        open_words = words != full
+        i = int(np.argmax(open_words))
+        if not open_words[i]:
+            return None
+        clear = ~int(words[i]) & full
+        return (i << self.lanes) + (clear & -clear).bit_length() - 1
+
+    def clear_count(self, words: np.ndarray) -> int:
+        """How many of the chunk's codes no map holds.  Bits 2^lanes.. of a
+        word are never set, so the set bits are the held codes."""
+        return (words.size << self.lanes) - int(_BYTE_ONES[words.view(np.uint8)].sum())
+
+    def clear_codes(self, words: np.ndarray, lo: int) -> np.ndarray:
+        """The codes of the chunk at lo that no map holds, ascending."""
+        bits = np.unpackbits((~words).view(np.uint8), bitorder="little")
+        codes = np.flatnonzero(bits.reshape(words.size, 64)[:, : 1 << self.lanes])
+        codes += lo  # in place: a second array of codes would double the peak
+        return codes
 
 
 def _checked_witness(family: Family, universe: tuple[VertexId, ...], code: int) -> Coloring:
@@ -205,10 +267,11 @@ def find_coloring(family: Family, *, count: bool = False, workers: int = 1) -> C
     first: int | None = None
     avoiders = 0
     for lo, j in cubes.chunks():
-        counts = cubes.counts(lo, j)
-        avoiders += counts.size - int(np.count_nonzero(counts))
-        if first is None and avoiders:
-            first = lo + int(np.argmin(counts))  # the first 0, since some cell is 0
+        words = cubes.cells(lo, j)
+        if count:
+            avoiders += cubes.clear_count(words)
+        if first is None and (low := cubes.lowest_clear(words)) is not None:
+            first = lo + low
             if not count:
                 break
 
@@ -225,9 +288,7 @@ def _avoider_chunks(family: Family) -> Iterator[np.ndarray]:
     _check_size(len(family.universe), "DPCOVER_PARITY_LIMIT", DEFAULT_PARITY_LIMIT)
     cubes = _Subcubes(family, family.ranks)
     for lo, j in cubes.chunks():
-        codes = np.flatnonzero(cubes.counts(lo, j) == 0)
-        codes += lo  # in place: a second array of codes would double the peak
-        yield codes
+        yield cubes.clear_codes(cubes.cells(lo, j), lo)
 
 
 def avoiding_codes(family: Family) -> np.ndarray:
@@ -494,10 +555,10 @@ class MultiplicityTable:
         self.ambient = amb
         self.ranks = family.ranks if amb == universe else {v: i for i, v in enumerate(amb)}
         self.n = n
-        cubes = _Subcubes(family, self.ranks)
+        cubes = _Subcubes(family, self.ranks, multiplicity=True)
         self.counts = np.zeros(1 << n, dtype=cubes.dtype)
         for lo, j in cubes.chunks():
-            cubes.counts(lo, j, self.counts[lo : lo + (1 << j)])
+            cubes.cells(lo, j, self.counts[lo : lo + (1 << j)])
 
     def multiplicity(self, bits: int) -> int:
         return int(self.counts[bits])

@@ -425,11 +425,13 @@ class TestKernelAgainstOracles:
     """The table, the avoiding codes and the full count read one chunked kernel.
 
     Chunk sizes (DEFAULT_CHUNK, patched) below 2^n split the code space;
-    sizes that are not powers of two round down to one.  A uint8 word holds 8 cells and a uint16 word 4,
-    so 4, 8 and 16 (2, 4 and 8) are chunks below, at and above one word.
+    sizes that are not powers of two round down to one.  The table's uint8
+    word holds 8 cells and its uint16 word 4, so 4, 8 and 16 (2, 4 and 8) are
+    chunks below, at and above one word; the scan's and the avoiding codes'
+    word holds 64 one-bit cells, so 32, 64 and 128 are.
     """
 
-    CHUNKS = (1, 3, 4, 8, 16, analysis.DEFAULT_CHUNK)
+    CHUNKS = (1, 3, 4, 8, 16, 32, 64, 128, analysis.DEFAULT_CHUNK)
 
     @staticmethod
     def check(family, ambient=None, chunk_size=analysis.DEFAULT_CHUNK):
@@ -506,12 +508,12 @@ class TestKernelAgainstOracles:
             want += (codes & mask) == pattern
         for chunk_size in (2, 4, 8):
             monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk_size)
-            cubes = analysis._Subcubes(many, many.ranks)
+            cubes = analysis._Subcubes(many, many.ranks, multiplicity=True)
             assert cubes.dtype == np.uint16
             for lo, j in cubes.chunks():
                 assert 1 << j <= chunk_size  # the patched cap holds
                 if lo < 1 << 8 or lo >= (1 << 17) - (1 << 8) or lo % 4099 < chunk_size:
-                    counts = cubes.counts(lo, j)
+                    counts = cubes.cells(lo, j)
                     assert counts.dtype == np.uint16 and counts.size == 1 << j
                     assert (counts == want[lo : lo + (1 << j)]).all()
         monkeypatch.undo()
@@ -552,15 +554,40 @@ class TestKernelAgainstOracles:
                     assert report.witness == Coloring(family.universe, first)
                     assert report.enumerated == first + 1
 
+    def test_first_witness_at_the_word_edge(self, monkeypatch):
+        # A probe of 64 codes is one word of one-bit cells: witness 63 is its
+        # last bit, and 64 and 65 lie in the next word of a full chunk.  A
+        # probe of 4 codes leaves 4 codes to a word, so that 63 ends the 16th
+        # word of a full chunk.
+        for probe in (64, 4):
+            monkeypatch.setattr(analysis, "FIRST_CHUNK", probe)
+            for n in (7, 9):
+                for first in (63, 64, 65):
+                    family = self.first_code_family(n, first)
+                    free = [code for code, m in enumerate(slow_multiplicities(family)) if m == 0]
+                    assert free[0] == first
+                    for chunk_size in self.CHUNKS:
+                        self.check(family, chunk_size=chunk_size)
+
+    def test_families_filling_one_word_and_two(self, rng):
+        # 6 vertices are 64 codes, one word of one-bit cells; 7 are two.
+        for n in (6, 7):
+            for _ in range(15):
+                family = random_family(rng, max_vertices=n, max_maps=10)
+                while len(family.universe) < n:
+                    family = random_family(rng, max_vertices=n, max_maps=10)
+                for chunk_size in self.CHUNKS:
+                    self.check(family, chunk_size=chunk_size)
+
     def test_chunks_visited(self, monkeypatch):
         visited = []
-        counts = analysis._Subcubes.counts
+        cells = analysis._Subcubes.cells
 
         def recording(cubes, lo, j, out=None):
             visited.append((lo, j))
-            return counts(cubes, lo, j, out)
+            return cells(cubes, lo, j, out)
 
-        monkeypatch.setattr(analysis._Subcubes, "counts", recording)
+        monkeypatch.setattr(analysis._Subcubes, "cells", recording)
         # A non-colorable family at the default cap: the probe and one chunk.
         analysis.find_coloring(self.first_code_family(20, None))
         assert visited == [(0, 12), (0, 20)]
@@ -576,8 +603,9 @@ class TestKernelAgainstOracles:
             assert visited == want, (first, count)
 
     def test_count_mode_holds_one_chunk(self, monkeypatch):
-        # 2^20 - 1 avoiders in one chunk of 2^20 one-byte cells: counting them
-        # allocates no index per avoider.
+        # 2^20 - 1 avoiders in one chunk of 2^20 one-bit cells, 128 KB of
+        # words: counting them allocates no index per avoider and no byte per
+        # code.
         chunk = 1 << 20
         family = fam([(v, 1) for v in range(20)])
         monkeypatch.setattr(analysis, "DEFAULT_CHUNK", chunk)
@@ -588,7 +616,7 @@ class TestKernelAgainstOracles:
         finally:
             tracemalloc.stop()
         assert report.coloring_count == chunk - 1 and report.witness.bits == 0
-        assert peak < 2 * chunk
+        assert peak < chunk // 2
 
     def test_signed_sum_below_zero(self):
         # Unsigned counts must not wrap: only codes with bit 0 set hold the map.
@@ -1085,14 +1113,14 @@ class TestClaimChecking:
         # the third chunk of 64.
         family = TestKernelAgainstOracles.first_code_family(10, 40)
         chunks = []
-        counts = analysis._Subcubes.counts
+        cells = analysis._Subcubes.cells
 
         def counting(cubes, lo, j, out=None):
             chunks.append(lo)
-            return counts(cubes, lo, j, out)
+            return cells(cubes, lo, j, out)
 
         monkeypatch.setattr(analysis, "DEFAULT_CHUNK", 16)
-        monkeypatch.setattr(analysis._Subcubes, "counts", counting)
+        monkeypatch.setattr(analysis._Subcubes, "cells", counting)
         result = analysis.check_claim(family, {"kind": "no-coloring"})
         assert result == analysis.ClaimResult("no-coloring", False, "coloring 40 avoids every map")
         assert chunks == [0, 16, 32]
